@@ -5,7 +5,7 @@ use approx_ir::analysis::{
     infer_types, verify_region_with_inputs, AbsValue, FloatInterval, PrecisionReport, RegType,
     VerifyReport,
 };
-use approx_ir::{static_counts, FuncId, Interpreter, Program, StaticCounts, TraceSink, Value};
+use approx_ir::{static_counts, FuncId, Interpreter, Program, StaticCounts, Value};
 
 /// An annotated candidate region: a pure IR function with a fixed number
 /// of `f32` inputs and outputs.
@@ -158,27 +158,6 @@ impl RegionSpec {
             .with_memory(self.scratch_words)
             .run(self.entry, &args)?;
         out.into_iter()
-            .map(|v| v.as_f32().map_err(ParrotError::from))
-            .collect()
-    }
-
-    /// Executes the precise region while emitting its dynamic trace (for
-    /// baseline timing simulation).
-    ///
-    /// # Errors
-    ///
-    /// Propagates interpreter errors.
-    pub fn evaluate_traced(
-        &self,
-        inputs: &[f32],
-        sink: &mut dyn TraceSink,
-    ) -> Result<Vec<f32>, ParrotError> {
-        let args: Vec<Value> = inputs.iter().map(|&v| Value::F(v)).collect();
-        let out = Interpreter::new(&self.program)
-            .with_memory(self.scratch_words)
-            .run_traced(self.entry, &args, sink)?;
-        out.outputs
-            .into_iter()
             .map(|v| v.as_f32().map_err(ParrotError::from))
             .collect()
     }

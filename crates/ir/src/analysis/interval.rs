@@ -8,7 +8,8 @@
 //! arithmetic (an overflowing interval falls back to the full i32 range),
 //! `rem`-by-zero yielding 0, saturating `f2i`, IEEE rounding — so the
 //! central soundness invariant holds by construction and is enforced by
-//! proptest ([`run_checked`](super::soundness::run_checked)):
+//! proptest, checked on the production interpreter
+//! ([`run_checked`](super::soundness::run_checked)):
 //!
 //! > every value the concrete interpreter ever writes to a register lies
 //! > inside that register's inferred interval at that program point.

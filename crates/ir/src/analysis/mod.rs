@@ -23,8 +23,8 @@
 //!   domain, including a word-granular scratch-memory model;
 //! * [`precision`] — static fixed-point precision requirements (integer
 //!   and fraction bits per value) derived from the intervals;
-//! * [`soundness`] — a checked mirror interpreter asserting every
-//!   concrete value falls inside its inferred interval;
+//! * [`soundness`] — an observer on the production interpreter asserting
+//!   every concrete value falls inside its inferred interval;
 //! * [`verify`] — the region safety verifier (`parrot-lint`): the lint
 //!   catalogue mapping the paper's §3.1 criteria onto concrete checks.
 //!

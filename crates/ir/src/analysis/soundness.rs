@@ -1,6 +1,6 @@
-//! Checked execution: a mirror interpreter that asserts, at every
-//! register read and write, that the concrete value lies inside the
-//! interval inferred by [`IntervalAnalysis`].
+//! Checked execution: an observer on the production [`Interpreter`] that
+//! asserts, at every register read and write, that the concrete value
+//! lies inside the interval inferred by [`IntervalAnalysis`].
 //!
 //! This is the executable form of the analysis soundness theorem —
 //!
@@ -10,12 +10,10 @@
 //!
 //! — and it is what the `interval_soundness` proptests drive across the
 //! six Table 1 benchmark regions and randomly generated programs. The
-//! mirror reproduces `Interpreter::run` instruction for instruction
-//! (wrapping i32 arithmetic, `rem`-by-zero = 0, saturating `f2i`,
-//! NaN-aware compares, fault-on-type-mismatch), because the trace-sink
-//! machinery of the real interpreter does not carry register values;
-//! callers cross-validate by asserting that [`run_checked`] and
-//! `Interpreter::run` return identical results.
+//! checker is a [`TraceSink`] using the interpreter's instruction hooks:
+//! before each instruction it checks reachability and the registers the
+//! instruction reads, after it the registers it wrote. The semantics
+//! checked are therefore exactly the ones `compile` and `simulate` run.
 //!
 //! The depth-0 frame is checked against an *entry* analysis (caller-
 //! supplied parameter intervals plus the zero-initialized scratch
@@ -24,15 +22,9 @@
 //! be unsound — is checked against a generic analysis of its function
 //! with ⊤ parameters and no memory model.
 
-use std::collections::HashMap;
-
 use super::defuse::{defs_of, uses_of};
 use super::interval::{AbsValue, IntervalAnalysis};
-use crate::{CmpOp, FBinOp, FUnOp, FuncId, IBinOp, Inst, IrError, Program, Value};
-
-/// Mirrors `Interpreter::MAX_DEPTH`; the cross-validation against the
-/// real interpreter would catch a drift.
-const MAX_DEPTH: usize = 64;
+use crate::{FuncId, Function, Interpreter, IrError, Program, TraceEvent, TraceSink, Value};
 
 /// Runs `func` like `Interpreter::run` (zero-filled `memory_words` of
 /// scratch, instruction `budget`, no NPU port), panicking if any value
@@ -45,7 +37,7 @@ const MAX_DEPTH: usize = 64;
 ///
 /// # Errors
 ///
-/// Exactly the `IrError`s the real interpreter would produce.
+/// Exactly the `IrError`s the interpreter produces.
 ///
 /// # Panics
 ///
@@ -66,273 +58,117 @@ pub fn run_checked(
             "premise violation: arg {i} = {a:?} outside declared {p:?}"
         );
     }
-    let entry_analysis = match program.function_by_index(func.0) {
+    let entry = match program.function_by_index(func.0) {
         Some(f) => IntervalAnalysis::of_region(program, f, entry_params, memory_words),
         None => return Err(IrError::UnknownFunction(func.0)),
     };
-    // Generic (⊤-parameter, no-memory) analyses for inner frames, built
-    // up front so frames can borrow immutably.
-    let generic: HashMap<u32, IntervalAnalysis> = (0..program.len() as u32)
-        .filter_map(|i| {
-            let f = program.function_by_index(i)?;
-            let params = vec![AbsValue::Any; f.n_params()];
-            Some((i, IntervalAnalysis::of_function(f, &params)))
-        })
-        .collect();
-    let mut ck = Checker {
-        program,
-        memory: vec![0.0; memory_words],
-        budget,
-        executed: 0,
-        entry_analysis,
-        generic,
-    };
-    ck.exec_frame(func, args, 0)
+    Checker::new(program, entry).run(func, args, memory_words, budget)
 }
 
+/// The soundness observer: one analysis for the entry frame, one generic
+/// analysis per function for every deeper frame.
 struct Checker<'p> {
     program: &'p Program,
-    memory: Vec<f32>,
-    budget: u64,
-    executed: u64,
-    entry_analysis: IntervalAnalysis,
-    generic: HashMap<u32, IntervalAnalysis>,
+    entry: IntervalAnalysis,
+    generic: Vec<IntervalAnalysis>,
 }
 
 impl<'p> Checker<'p> {
-    #[allow(clippy::too_many_lines)]
-    fn exec_frame(
-        &mut self,
+    fn new(program: &'p Program, entry: IntervalAnalysis) -> Self {
+        let generic = program
+            .functions()
+            .iter()
+            .map(|f| IntervalAnalysis::of_function(f, &vec![AbsValue::Any; f.n_params()]))
+            .collect();
+        Checker {
+            program,
+            entry,
+            generic,
+        }
+    }
+
+    fn run(
+        mut self,
         func: FuncId,
         args: &[Value],
-        depth: usize,
+        memory_words: usize,
+        budget: u64,
     ) -> Result<Vec<Value>, IrError> {
-        if depth > MAX_DEPTH {
-            return Err(IrError::StackOverflow);
-        }
-        // `self.program` is `&'p Program`, so this borrow is independent
-        // of `&mut self` and the recursive call below stays legal.
-        let f: &'p crate::Function = self
+        Interpreter::new(self.program)
+            .with_memory(memory_words)
+            .with_budget(budget)
+            .run_traced(func, args, &mut self)
+            .map(|outcome| outcome.outputs)
+    }
+
+    /// The function, instruction index and analysis for static `pc`
+    /// executing at `depth`.
+    fn frame(&self, pc: u64, depth: usize) -> (&'p Function, usize, &IntervalAnalysis) {
+        let func = (pc >> 32) as u32;
+        let f = self
             .program
-            .function_by_index(func.0)
-            .ok_or(IrError::UnknownFunction(func.0))?;
-        if args.len() != f.n_params() {
-            return Err(IrError::ArityMismatch {
-                expected: f.n_params(),
-                actual: args.len(),
-            });
-        }
+            .function_by_index(func)
+            .expect("the interpreter only executes functions of its program");
         let analysis = if depth == 0 {
-            self.entry_analysis.clone()
+            &self.entry
         } else {
-            self.generic[&func.0].clone()
+            &self.generic[func as usize]
         };
+        (f, pc as u32 as usize, analysis)
+    }
+}
 
-        let mut regs = vec![Value::I(0); f.n_regs()];
-        regs[..args.len()].copy_from_slice(args);
+impl TraceSink for Checker<'_> {
+    fn event(&mut self, _ev: &TraceEvent) {}
 
-        let name = f.name();
-        let insts = f.insts();
-        let mut pc = 0usize;
-        loop {
-            if pc >= insts.len() {
-                return Err(IrError::MissingReturn(name.to_string()));
-            }
-            if self.executed >= self.budget {
-                return Err(IrError::BudgetExhausted);
-            }
-            self.executed += 1;
-            let inst = &insts[pc];
-            let i = pc;
-            pc += 1;
-
+    fn before_inst(&mut self, pc: u64, depth: usize, regs: &[Value]) {
+        let (f, i, analysis) = self.frame(pc, depth);
+        let (name, inst) = (f.name(), &f.insts()[i]);
+        assert!(
+            analysis.reachable(i),
+            "soundness violation in {name}: executed instruction {i} ({inst:?}) \
+             that the analysis proved unreachable"
+        );
+        for r in uses_of(inst) {
+            let abs = analysis.value_before(i, r);
+            let v = regs[r.0 as usize];
             assert!(
-                analysis.reachable(i),
-                "soundness violation in {name}: executed instruction {i} ({inst:?}) \
-                 that the analysis proved unreachable"
+                abs.contains(v),
+                "soundness violation in {name} at {i} ({inst:?}): \
+                 read {r:?} = {v:?} outside {abs:?}"
             );
-            for r in uses_of(inst) {
-                let abs = analysis.value_before(i, r);
-                let v = regs[r.0 as usize];
-                assert!(
-                    abs.contains(v),
-                    "soundness violation in {name} at {i} ({inst:?}): \
-                     read {r:?} = {v:?} outside {abs:?}"
-                );
-            }
-
-            match inst {
-                Inst::ConstF { dst, value } => regs[dst.0 as usize] = Value::F(*value),
-                Inst::ConstI { dst, value } => regs[dst.0 as usize] = Value::I(*value),
-                Inst::Mov { dst, src } => regs[dst.0 as usize] = regs[src.0 as usize],
-                Inst::FBin { op, dst, a, b } => {
-                    let x = reg_f32(&regs, *a, pc)?;
-                    let y = reg_f32(&regs, *b, pc)?;
-                    let r = match op {
-                        FBinOp::Add => x + y,
-                        FBinOp::Sub => x - y,
-                        FBinOp::Mul => x * y,
-                        FBinOp::Div => x / y,
-                        FBinOp::Min => x.min(y),
-                        FBinOp::Max => x.max(y),
-                        FBinOp::Atan2 => x.atan2(y),
-                    };
-                    regs[dst.0 as usize] = Value::F(r);
-                }
-                Inst::FUn { op, dst, a } => {
-                    let x = reg_f32(&regs, *a, pc)?;
-                    let r = match op {
-                        FUnOp::Neg => -x,
-                        FUnOp::Abs => x.abs(),
-                        FUnOp::Sqrt => x.sqrt(),
-                        FUnOp::Sin => x.sin(),
-                        FUnOp::Cos => x.cos(),
-                        FUnOp::Floor => x.floor(),
-                        FUnOp::Exp => x.exp(),
-                        FUnOp::Acos => x.acos(),
-                        FUnOp::Asin => x.asin(),
-                        FUnOp::Atan => x.atan(),
-                    };
-                    regs[dst.0 as usize] = Value::F(r);
-                }
-                Inst::IBin { op, dst, a, b } => {
-                    let x = reg_i32(&regs, *a, pc)?;
-                    let y = reg_i32(&regs, *b, pc)?;
-                    let r = match op {
-                        IBinOp::Add => x.wrapping_add(y),
-                        IBinOp::Sub => x.wrapping_sub(y),
-                        IBinOp::Mul => x.wrapping_mul(y),
-                        IBinOp::Shl => x.wrapping_shl(y as u32),
-                        IBinOp::Shr => x.wrapping_shr(y as u32),
-                        IBinOp::And => x & y,
-                        IBinOp::Or => x | y,
-                        IBinOp::Rem => {
-                            if y == 0 {
-                                0
-                            } else {
-                                x.wrapping_rem(y)
-                            }
-                        }
-                    };
-                    regs[dst.0 as usize] = Value::I(r);
-                }
-                Inst::CmpF { op, dst, a, b } => {
-                    let x = reg_f32(&regs, *a, pc)?;
-                    let y = reg_f32(&regs, *b, pc)?;
-                    regs[dst.0 as usize] = Value::I(CmpOp::eval_f32(*op, x, y) as i32);
-                }
-                Inst::CmpI { op, dst, a, b } => {
-                    let x = reg_i32(&regs, *a, pc)?;
-                    let y = reg_i32(&regs, *b, pc)?;
-                    regs[dst.0 as usize] = Value::I(CmpOp::eval_i32(*op, x, y) as i32);
-                }
-                Inst::IToF { dst, src } => {
-                    let v = reg_i32(&regs, *src, pc)?;
-                    regs[dst.0 as usize] = Value::F(v as f32);
-                }
-                Inst::FToI { dst, src } => {
-                    let v = reg_f32(&regs, *src, pc)?;
-                    regs[dst.0 as usize] = Value::I(v as i32);
-                }
-                Inst::BitsToF { dst, src } => {
-                    let v = reg_i32(&regs, *src, pc)?;
-                    regs[dst.0 as usize] = Value::F(f32::from_bits(v as u32));
-                }
-                Inst::FToBits { dst, src } => {
-                    let v = reg_f32(&regs, *src, pc)?;
-                    regs[dst.0 as usize] = Value::I(v.to_bits() as i32);
-                }
-                Inst::Load { dst, base, offset } => {
-                    let addr = reg_i32(&regs, *base, pc)? as i64 + *offset as i64;
-                    let idx = self.check_addr(addr)?;
-                    regs[dst.0 as usize] = Value::F(self.memory[idx]);
-                }
-                Inst::Store { src, base, offset } => {
-                    let addr = reg_i32(&regs, *base, pc)? as i64 + *offset as i64;
-                    let idx = self.check_addr(addr)?;
-                    self.memory[idx] = reg_f32(&regs, *src, pc)?;
-                }
-                Inst::Branch { cond, target } => {
-                    if reg_i32(&regs, *cond, pc)? != 0 {
-                        pc = target.0 as usize;
-                    }
-                }
-                Inst::Jump { target } => pc = target.0 as usize,
-                Inst::Call {
-                    func: callee,
-                    args: arg_regs,
-                    rets,
-                } => {
-                    let arg_vals: Vec<Value> =
-                        arg_regs.iter().map(|r| regs[r.0 as usize]).collect();
-                    let results = self.exec_frame(FuncId(*callee), &arg_vals, depth + 1)?;
-                    for (dst, &v) in rets.iter().zip(&results) {
-                        regs[dst.0 as usize] = v;
-                    }
-                }
-                Inst::Ret { vals } => {
-                    return Ok(vals.iter().map(|r| regs[r.0 as usize]).collect());
-                }
-                Inst::EnqD { src } => {
-                    reg_f32(&regs, *src, pc)?;
-                    return Err(IrError::NoNpuAttached);
-                }
-                Inst::DeqD { .. } | Inst::DeqC { .. } => return Err(IrError::NoNpuAttached),
-                Inst::EnqC { src } => {
-                    reg_i32(&regs, *src, pc)?;
-                    return Err(IrError::NoNpuAttached);
-                }
-            }
-
-            for r in defs_of(inst) {
-                let abs = analysis.value_after(i, r);
-                let v = regs[r.0 as usize];
-                assert!(
-                    abs.contains(v),
-                    "soundness violation in {name} at {i} ({inst:?}): \
-                     wrote {r:?} = {v:?} outside {abs:?}"
-                );
-            }
         }
     }
 
-    fn check_addr(&self, addr: i64) -> Result<usize, IrError> {
-        if addr < 0 || addr as usize >= self.memory.len() {
-            return Err(IrError::OutOfBoundsMemory {
-                addr,
-                size: self.memory.len(),
-            });
+    fn after_inst(&mut self, pc: u64, depth: usize, regs: &[Value]) {
+        let (f, i, analysis) = self.frame(pc, depth);
+        let (name, inst) = (f.name(), &f.insts()[i]);
+        for r in defs_of(inst) {
+            let abs = analysis.value_after(i, r);
+            let v = regs[r.0 as usize];
+            assert!(
+                abs.contains(v),
+                "soundness violation in {name} at {i} ({inst:?}): \
+                 wrote {r:?} = {v:?} outside {abs:?}"
+            );
         }
-        Ok(addr as usize)
-    }
-}
-
-fn reg_f32(regs: &[Value], r: crate::Reg, at: usize) -> Result<f32, IrError> {
-    match regs[r.0 as usize] {
-        Value::F(v) => Ok(v),
-        Value::I(_) => Err(IrError::TypeMismatch {
-            expected: "f32",
-            at: at.saturating_sub(1),
-        }),
-    }
-}
-
-fn reg_i32(regs: &[Value], r: crate::Reg, at: usize) -> Result<i32, IrError> {
-    match regs[r.0 as usize] {
-        Value::I(v) => Ok(v),
-        Value::F(_) => Err(IrError::TypeMismatch {
-            expected: "i32",
-            at: at.saturating_sub(1),
-        }),
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::interval::{FloatInterval, IntInterval};
     use super::*;
-    use crate::{FunctionBuilder, Interpreter};
+    use crate::FunctionBuilder;
 
-    fn agree(program: &Program, f: FuncId, args: &[Value], words: usize) {
+    fn single(b: FunctionBuilder) -> (Program, FuncId) {
+        let mut p = Program::new();
+        let f = p.add_function(b.build().unwrap());
+        (p, f)
+    }
+
+    /// Observing a run must not change it: same outputs, same faults.
+    fn observed_matches_unobserved(program: &Program, f: FuncId, args: &[Value], words: usize) {
         let params: Vec<AbsValue> = args
             .iter()
             .map(|&a| match a {
@@ -341,15 +177,15 @@ mod tests {
             })
             .collect();
         let checked = run_checked(program, f, args, words, 100_000, &params);
-        let real = Interpreter::new(program)
+        let plain = Interpreter::new(program)
             .with_memory(words)
             .with_budget(100_000)
             .run(f, args);
-        assert_eq!(checked, real);
+        assert_eq!(checked, plain);
     }
 
     #[test]
-    fn checked_run_matches_interpreter_on_loops_and_memory() {
+    fn observing_leaves_loads_and_stores_unchanged() {
         let mut b = FunctionBuilder::new("acc", 1);
         let x = b.param(0);
         let addr = b.consti(3);
@@ -357,22 +193,21 @@ mod tests {
         let r = b.load(addr, 0);
         let y = b.fmul(r, r);
         b.ret(&[y]);
-        let mut p = Program::new();
-        let f = p.add_function(b.build().unwrap());
-        agree(&p, f, &[Value::F(1.5)], 8);
+        let (p, f) = single(b);
+        observed_matches_unobserved(&p, f, &[Value::F(1.5)], 8);
     }
 
     #[test]
-    fn checked_run_matches_interpreter_on_faults() {
-        // Out-of-bounds store faults identically under both executors.
+    fn observing_leaves_faults_unchanged() {
+        // An out-of-bounds store faults the same way with or without
+        // the checker attached.
         let mut b = FunctionBuilder::new("oob", 1);
         let x = b.param(0);
         let addr = b.ftoi(x);
         b.store(x, addr, 0);
         b.ret(&[x]);
-        let mut p = Program::new();
-        let f = p.add_function(b.build().unwrap());
-        agree(&p, f, &[Value::F(99.0)], 8);
+        let (p, f) = single(b);
+        observed_matches_unobserved(&p, f, &[Value::F(99.0)], 8);
     }
 
     #[test]
@@ -391,20 +226,79 @@ mod tests {
         b.ret(&[r[0]]);
         b.bind(base);
         b.ret(&[zero]);
-        let mut p = Program::new();
-        let f = p.add_function(b.build().unwrap());
+        let (p, f) = single(b);
         let out = run_checked(
             &p,
             f,
             &[Value::I(5)],
             4,
             100_000,
-            &[AbsValue::Int(super::super::interval::IntInterval {
-                lo: 0,
-                hi: 10,
-            })],
+            &[AbsValue::Int(IntInterval { lo: 0, hi: 10 })],
         )
         .unwrap();
         assert_eq!(out, vec![Value::I(0)]);
+    }
+
+    // The tests below hand the checker a deliberately wrong analysis and
+    // expect it to object. Each program is built so that exactly one
+    // hook can see the violation.
+
+    #[test]
+    #[should_panic(expected = "soundness violation")]
+    fn a_read_outside_its_interval_is_caught() {
+        // `ret x` only reads, so only the before-hook can object. The
+        // analysis assumes x ∈ [0, 1]; the run passes 5.
+        let mut b = FunctionBuilder::new("id", 1);
+        let x = b.param(0);
+        b.ret(&[x]);
+        let (p, f) = single(b);
+        let unit = AbsValue::float(FloatInterval {
+            lo: 0.0,
+            hi: 1.0,
+            nan: false,
+        });
+        let wrong = IntervalAnalysis::of_function(&p.functions()[0], &[unit]);
+        let _ = Checker::new(&p, wrong).run(f, &[Value::F(5.0)], 0, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "soundness violation")]
+    fn a_write_outside_its_interval_is_caught() {
+        // The run writes 2.0 into a register nothing reads afterwards, so
+        // only the after-hook can object; the analysis comes from the
+        // same shape writing 1.0.
+        let shape = |value: f32| {
+            let mut b = FunctionBuilder::new("k", 0);
+            let _ = b.constf(value);
+            b.ret(&[]);
+            single(b)
+        };
+        let (analyzed, _) = shape(1.0);
+        let (p, f) = shape(2.0);
+        let wrong = IntervalAnalysis::of_function(&analyzed.functions()[0], &[]);
+        let _ = Checker::new(&p, wrong).run(f, &[], 0, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "soundness violation")]
+    fn executing_an_unreachable_instruction_is_caught() {
+        // `jump L; ret; L: ret`, analyzed with L after the first `ret`
+        // (so that `ret` is dead) and run with L before it. No register
+        // is read or written, so only the reachability check can object.
+        let shape = |skip_first_ret: bool| {
+            let mut b = FunctionBuilder::new("j", 0);
+            let first = b.new_label();
+            let second = b.new_label();
+            b.jump(if skip_first_ret { second } else { first });
+            b.bind(first);
+            b.ret(&[]);
+            b.bind(second);
+            b.ret(&[]);
+            single(b)
+        };
+        let (analyzed, _) = shape(true);
+        let (p, f) = shape(false);
+        let wrong = IntervalAnalysis::of_function(&analyzed.functions()[0], &[]);
+        let _ = Checker::new(&p, wrong).run(f, &[], 0, 100);
     }
 }

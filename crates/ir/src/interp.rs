@@ -229,6 +229,7 @@ impl<'p> Interpreter<'p> {
             }
             *executed += 1;
             let cur_pc = base_pc | pc as u64;
+            sink.before_inst(cur_pc, depth, &regs);
             let inst = &insts[pc];
             pc += 1;
             match inst {
@@ -577,6 +578,9 @@ impl<'p> Interpreter<'p> {
                     }
                 }
             }
+            // `ret` and faults have returned by now, so only completed
+            // instructions reach the after-hook.
+            sink.after_inst(cur_pc, depth, &regs);
         }
     }
 

@@ -3,6 +3,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::Value;
+
 /// Coarse operation classes, used by the core model to pick functional
 /// units and latencies, and by the energy model to price events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -127,9 +129,24 @@ impl TraceEvent {
 ///
 /// The `uarch` crate's core model implements this to simulate timing while
 /// the program runs; lightweight sinks below support counting and capture.
+///
+/// The two instruction hooks let an observer read register values around
+/// each instruction (the interval soundness checker does). They receive
+/// the static `pc` (same encoding as [`TraceEvent::pc`]), the frame
+/// `depth` (0 for the entry function) and that frame's register file;
+/// they cannot change execution. Their default bodies are empty, so
+/// every sink that only needs [`event`](Self::event) compiles them away.
 pub trait TraceSink {
     /// Receives the next dynamically executed instruction.
     fn event(&mut self, ev: &TraceEvent);
+
+    /// Runs before the instruction at `pc` executes.
+    fn before_inst(&mut self, _pc: u64, _depth: usize, _regs: &[Value]) {}
+
+    /// Runs after the instruction at `pc` completed; for a call, after the
+    /// callee returned and its results were written. A faulting
+    /// instruction or a `ret` never gets here.
+    fn after_inst(&mut self, _pc: u64, _depth: usize, _regs: &[Value]) {}
 }
 
 /// A sink that discards everything (functional-only execution).
@@ -189,6 +206,14 @@ impl TraceSink for VecSink {
 impl<S: TraceSink + ?Sized> TraceSink for &mut S {
     fn event(&mut self, ev: &TraceEvent) {
         (**self).event(ev);
+    }
+
+    fn before_inst(&mut self, pc: u64, depth: usize, regs: &[Value]) {
+        (**self).before_inst(pc, depth, regs);
+    }
+
+    fn after_inst(&mut self, pc: u64, depth: usize, regs: &[Value]) {
+        (**self).after_inst(pc, depth, regs);
     }
 }
 

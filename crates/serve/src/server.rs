@@ -444,15 +444,20 @@ fn handle_request(inner: &Arc<Inner>, writer: &SharedWriter, req: Request) -> bo
             inputs,
         } => {
             let now = inner.now_us();
-            let outcome = {
-                let mut engine = lock(&inner.engine);
-                engine.submit(&tenant, request_id, deadline_us, mode, inputs, now)
-            };
+            // The route must exist before a flush can complete the
+            // request, so it is inserted under the router lock taken
+            // before the engine lock. `deliver` and the reaper never take
+            // the router lock while holding the engine lock, so this
+            // order cannot deadlock.
+            let mut router = lock(&inner.router);
+            let outcome =
+                lock(&inner.engine).submit(&tenant, request_id, deadline_us, mode, inputs, now);
+            if let SubmitOutcome::Enqueued { token } = outcome {
+                router.insert(token, Arc::clone(writer));
+            }
+            drop(router);
             match outcome {
-                SubmitOutcome::Enqueued { token } => {
-                    lock(&inner.router).insert(token, Arc::clone(writer));
-                    inner.work.notify_all();
-                }
+                SubmitOutcome::Enqueued { .. } => inner.work.notify_all(),
                 SubmitOutcome::Rejected { retry_after_us } => {
                     inner.send(
                         writer,

@@ -7,7 +7,9 @@ use serve::fleet::{derive_fleet, request_inputs, FleetOptions};
 use serve::proto::{write_frame, ErrorCode, InvokeMode, Reply, Request};
 use serve::server::{Listen, RunStats, Server};
 use serve::Client;
+use std::collections::HashMap;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 fn small_fleet() -> FleetOptions {
     FleetOptions {
@@ -21,7 +23,11 @@ fn small_fleet() -> FleetOptions {
 /// Starts an in-process daemon on an ephemeral port; returns its
 /// address and the join handle delivering the final stats.
 fn start_daemon(opts: &FleetOptions) -> (Listen, JoinHandle<RunStats>) {
-    let engine = Engine::new(EngineConfig::default(), derive_fleet(opts));
+    start_daemon_with(opts, EngineConfig::default())
+}
+
+fn start_daemon_with(opts: &FleetOptions, cfg: EngineConfig) -> (Listen, JoinHandle<RunStats>) {
+    let engine = Engine::new(cfg, derive_fleet(opts));
     let serve_opts = serve::server::ServeOptions {
         listen: Listen::Tcp("127.0.0.1:0".to_string()),
         batch_window_us: 500,
@@ -105,6 +111,83 @@ fn invocations_round_trip_bit_identically_over_the_socket() {
     shutdown(&addr);
     let stats = handle.join().expect("join");
     assert_eq!(stats.summary.completed, n);
+}
+
+#[test]
+fn every_pipelined_request_gets_exactly_one_reply() {
+    // Each connection pipelines windows of full 16-lane batches into its
+    // own tenant, so the batcher flushes while readers are still
+    // submitting. A reply routed only after the flush completed would be
+    // dropped and show up here as a missing request id.
+    const CONNS: usize = 4;
+    const ROUNDS: u64 = 60;
+    const WINDOW: u64 = 4 * ann::LANES as u64;
+    let opts = FleetOptions {
+        tenants: CONNS,
+        ..small_fleet()
+    };
+    let cfg = EngineConfig {
+        quantum: ann::LANES as u64,
+        ..EngineConfig::default()
+    };
+    let (addr, handle) = start_daemon_with(&opts, cfg);
+
+    let clients: Vec<_> = (0..CONNS)
+        .map(|tenant| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut client = Client::connect(&addr).expect("connect");
+                client
+                    .set_read_timeout(Some(Duration::from_millis(50)))
+                    .expect("read timeout");
+                let mut replies: HashMap<u64, u32> = HashMap::new();
+                for round in 0..ROUNDS {
+                    for req in round * WINDOW..(round + 1) * WINDOW {
+                        client
+                            .send(&Request::Invoke {
+                                tenant: format!("t{tenant}"),
+                                request_id: req,
+                                deadline_us: 0,
+                                mode: InvokeMode::Npu,
+                                inputs: request_inputs(11, tenant, req, 4),
+                            })
+                            .expect("send");
+                    }
+                    // Collect this window; a lost reply ends the wait
+                    // after a grace period instead of hanging the test.
+                    let deadline = Instant::now() + Duration::from_secs(1);
+                    let mut got = 0;
+                    while got < WINDOW && Instant::now() < deadline {
+                        match client.try_recv().expect("recv") {
+                            Some(Reply::Outputs { request_id, .. }) => {
+                                *replies.entry(request_id).or_default() += 1;
+                                got += 1;
+                            }
+                            Some(other) => panic!("unexpected reply: {other:?}"),
+                            None => {}
+                        }
+                    }
+                }
+                replies
+            })
+        })
+        .collect();
+
+    for (tenant, c) in clients.into_iter().enumerate() {
+        let replies = c.join().expect("client thread");
+        let lost: Vec<u64> = (0..ROUNDS * WINDOW)
+            .filter(|id| !replies.contains_key(id))
+            .collect();
+        assert!(lost.is_empty(), "tenant t{tenant} lost replies {lost:?}");
+        assert!(
+            replies.values().all(|&n| n == 1),
+            "tenant t{tenant} got a duplicate reply"
+        );
+    }
+
+    shutdown(&addr);
+    let stats = handle.join().expect("join");
+    assert_eq!(stats.summary.completed, CONNS as u64 * ROUNDS * WINDOW);
 }
 
 #[test]
