@@ -12,6 +12,9 @@ use npu::{NpuConfig, NpuParams, NpuSim};
 use parrot::NpuRuntime;
 use uarch::{Core, CoreConfig};
 
+#[path = "../../uarch/tests/support/golden_trace.rs"]
+mod golden_trace;
+
 fn paper_topologies() -> Vec<(&'static str, Vec<usize>)> {
     vec![
         ("fft", vec![1, 4, 4, 2]),
@@ -327,6 +330,25 @@ fn bench_core_throughput(c: &mut Criterion) {
     });
 }
 
+/// Core-model throughput on the golden mixed trace (the one
+/// `uarch/tests/golden_stats.rs` pins), with an ideal NPU attached: unlike
+/// `core_sim_10k_alu` it exercises wakeup of dependent chains, the store
+/// map, unpipelined-unit contention, mispredict recovery, full-queue
+/// stalls and `deq.d` waits.
+fn bench_core_mixed(c: &mut Criterion) {
+    use golden_trace::{golden_trace, NPU_INPUTS, NPU_OUTPUTS};
+    let events = golden_trace();
+    c.bench_function("core_sim_mixed", |b| {
+        b.iter(|| {
+            let mut core = Core::with_ideal_npu(CoreConfig::penryn_like(), NPU_INPUTS, NPU_OUTPUTS);
+            for ev in &events {
+                core.feed(*ev);
+            }
+            core.finish().cycles
+        });
+    });
+}
+
 /// MLP forward pass (functional NN evaluation) per paper topology.
 fn bench_forward(c: &mut Criterion) {
     let mut group = c.benchmark_group("mlp_forward");
@@ -480,6 +502,7 @@ criterion_group!(
     bench_npu_functional,
     bench_trace_replay,
     bench_core_throughput,
+    bench_core_mixed,
     bench_forward,
     bench_telemetry_overhead,
     bench_analysis_overhead

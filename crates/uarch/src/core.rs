@@ -6,13 +6,19 @@ use crate::predictor::BranchPredictor;
 use crate::{CoreConfig, SimStats};
 use approx_ir::{OpClass, TraceEvent, TraceSink};
 use npu::NpuSim;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const FETCH_BUFFER_CAP: usize = 64;
 const FEED_HIGH_WATER: usize = 4096;
 const STALL_GUARD: u64 = 1_000_000;
+/// "No producer". Absolute ROB indices start at 1, so this reads as an
+/// instruction that committed before the simulation began.
+const NONE: u64 = 0;
+/// `Slot::done_at` of an instruction that has not issued yet.
+const NOT_ISSUED: u64 = u64::MAX;
 
 /// Process-wide high-water mark of any core's streaming input buffer, in
 /// trace events. The sweep driver resets it before a run and reports it in
@@ -32,28 +38,51 @@ pub fn reset_peak_trace_buffer() {
     PEAK_TRACE_BUFFER.store(0, Ordering::Relaxed);
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotState {
-    /// Dispatched, waiting in the issue queue.
-    InIq,
-    /// Issued to a functional unit, finishing at the stored cycle.
-    Executing(u64),
-    /// Result produced; eligible to commit when it reaches the ROB head.
-    Done,
+/// Multiplicative hasher for the store map's word-address keys: one
+/// multiply, then the well-mixed high half folded into the low bits the
+/// table indexes with, so power-of-two strides do not collide.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the store map hashes only u64 keys")
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        let h = word.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Slot {
     class: OpClass,
-    mem_addr: Option<(u64, bool)>,
-    /// Producer slots (absolute ROB indices) this instruction waits on:
-    /// up to three register sources, plus one for store-to-load or NPU
-    /// serialization dependences.
-    deps: [Option<u64>; 4],
     /// Load forwarded from an in-flight store (skips the cache).
     forwarded: bool,
-    state: SlotState,
+    /// Byte address of a load or store.
+    mem_addr: u64,
+    /// Producer slots (absolute ROB indices, or [`NONE`]) this instruction
+    /// waits on: up to three register sources, plus one for store-to-load
+    /// or NPU serialization dependences.
+    deps: [u64; 4],
+    /// Cycle the result is produced ([`NOT_ISSUED`] until issue). The slot
+    /// counts as done, for its consumers and for commit, once this is
+    /// `<= now`.
+    done_at: u64,
 }
+
+const EMPTY_SLOT: Slot = Slot {
+    class: OpClass::IntAlu,
+    forwarded: false,
+    mem_addr: 0,
+    deps: [NONE; 4],
+    done_at: NOT_ISSUED,
+};
 
 /// The trace-driven out-of-order core.
 ///
@@ -75,19 +104,21 @@ pub struct Core {
     input: VecDeque<TraceEvent>,
     /// Fetched instructions awaiting dispatch: `(event, dispatch_ready_at)`.
     fetch_buffer: VecDeque<(TraceEvent, u64)>,
-    /// In-flight window; `rob_base` is the absolute index of `rob[0]`.
-    rob: VecDeque<Slot>,
+    /// In-flight window as a power-of-two ring: absolute index `abs` lives
+    /// at `rob[abs & rob_mask]`; `rob_base` is the oldest in-flight index
+    /// and `rob_len` the occupancy.
+    rob: Vec<Slot>,
+    rob_mask: u64,
     rob_base: u64,
+    rob_len: usize,
     /// Issue queue: absolute indices of waiting slots, in age order.
     iq: Vec<u64>,
-    /// Absolute indices finishing execution, ordered by completion cycle.
-    completions: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Last in-flight writer of each (frame-tagged) register.
-    reg_producer: HashMap<u16, u64>,
+    /// Last writer (absolute index, or [`NONE`]) of each register number.
+    reg_producer: Vec<u64>,
     /// Youngest in-flight store per word address.
-    store_map: HashMap<u64, u64>,
+    store_map: HashMap<u64, u64, BuildHasherDefault<WordHasher>>,
     /// Serialization chain for NPU queue instructions.
-    last_npu: Option<u64>,
+    last_npu: u64,
     /// In-flight load/store queue occupancy.
     lq_used: usize,
     sq_used: usize,
@@ -122,6 +153,7 @@ impl Core {
 
     /// Creates a core with an explicit attachment.
     pub fn with_attachment(cfg: CoreConfig, npu: NpuAttachment) -> Self {
+        let ring = cfg.rob_entries.next_power_of_two();
         Core {
             hierarchy: MemoryHierarchy::new(cfg.l1d, cfg.l2, cfg.mem_latency),
             predictor: BranchPredictor::new(cfg.gshare_bits, cfg.btb_entries, cfg.ras_entries),
@@ -131,13 +163,14 @@ impl Core {
             cycle: 0,
             input: VecDeque::new(),
             fetch_buffer: VecDeque::new(),
-            rob: VecDeque::new(),
-            rob_base: 0,
-            iq: Vec::new(),
-            completions: BinaryHeap::new(),
-            reg_producer: HashMap::new(),
-            store_map: HashMap::new(),
-            last_npu: None,
+            rob: vec![EMPTY_SLOT; ring],
+            rob_mask: ring as u64 - 1,
+            rob_base: NONE + 1,
+            rob_len: 0,
+            iq: Vec::with_capacity(cfg.iq_entries),
+            reg_producer: Vec::new(),
+            store_map: HashMap::default(),
+            last_npu: NONE,
             lq_used: 0,
             sq_used: 0,
             fetch_stalled_until: 0,
@@ -207,15 +240,15 @@ impl Core {
     /// that indicates a protocol bug, e.g. a `deq.d` with no matching NPU
     /// output.
     pub fn finish(&mut self) -> SimStats {
-        while !self.input.is_empty() || !self.fetch_buffer.is_empty() || !self.rob.is_empty() {
+        while !self.input.is_empty() || !self.fetch_buffer.is_empty() || self.rob_len > 0 {
             self.tick();
             assert!(
                 self.cycle - self.last_commit_cycle < STALL_GUARD,
                 "pipeline deadlock at cycle {}: rob={} iq={} head={:?}",
                 self.cycle,
-                self.rob.len(),
+                self.rob_len,
                 self.iq.len(),
-                self.rob.front().map(|s| (s.class, s.state)),
+                (self.rob_len > 0).then(|| self.slot(self.rob_base)),
             );
         }
         self.stats.cycles = self.cycle;
@@ -238,18 +271,15 @@ impl Core {
 
     // ------------------------------------------------------------------
 
-    fn slot(&self, abs: u64) -> Option<&Slot> {
-        if abs < self.rob_base {
-            return None; // already committed
-        }
-        self.rob.get((abs - self.rob_base) as usize)
+    /// The slot of an in-flight absolute index.
+    fn slot(&self, abs: u64) -> &Slot {
+        &self.rob[(abs & self.rob_mask) as usize]
     }
 
-    fn dep_ready(&self, dep: u64) -> bool {
-        match self.slot(dep) {
-            None => true, // committed
-            Some(s) => s.state == SlotState::Done,
-        }
+    /// Whether the result of `dep` is available at `now`: it has committed
+    /// (or is [`NONE`]) or has finished executing.
+    fn dep_ready(&self, dep: u64, now: u64) -> bool {
+        dep < self.rob_base || self.slot(dep).done_at <= now
     }
 
     fn tick(&mut self) {
@@ -288,40 +318,35 @@ impl Core {
         }
     }
 
+    /// A resolving mispredicted branch un-blocks fetch after the front-end
+    /// refill penalty. Results need no other writeback: consumers and
+    /// commit read `done_at` directly. The branch is seen here in the very
+    /// cycle its result is produced, before it can commit.
     fn writeback(&mut self, now: u64) {
-        while let Some(&Reverse((done_at, abs))) = self.completions.peek() {
-            if done_at > now {
-                break;
-            }
-            self.completions.pop();
-            if let Some(idx) = abs.checked_sub(self.rob_base) {
-                if let Some(slot) = self.rob.get_mut(idx as usize) {
-                    slot.state = SlotState::Done;
-                }
-            }
-            // A resolving mispredicted branch un-blocks fetch after the
-            // front-end refill penalty.
-            if self.fetch_blocked_on == Some(abs) {
-                self.fetch_blocked_on = None;
-                self.fetch_stalled_until = now + self.cfg.mispredict_refill;
-                if telemetry::enabled(telemetry::Level::Trace) {
-                    telemetry::emit(telemetry::Level::Trace, "uarch::core", || {
-                        telemetry::EventKind::BranchMispredict { cycle: now }
-                    });
-                }
+        let Some(branch) = self.fetch_blocked_on else {
+            return;
+        };
+        let dispatched = branch < self.rob_base + self.rob_len as u64;
+        if dispatched && self.slot(branch).done_at <= now {
+            self.fetch_blocked_on = None;
+            self.fetch_stalled_until = now + self.cfg.mispredict_refill;
+            if telemetry::enabled(telemetry::Level::Trace) {
+                telemetry::emit(telemetry::Level::Trace, "uarch::core", || {
+                    telemetry::EventKind::BranchMispredict { cycle: now }
+                });
             }
         }
     }
 
     fn commit(&mut self, now: u64) {
         for _ in 0..self.cfg.commit_width {
-            let Some(head) = self.rob.front() else { break };
-            if head.state != SlotState::Done {
+            if self.rob_len == 0 || self.slot(self.rob_base).done_at > now {
                 break;
             }
-            let slot = self.rob.pop_front().expect("head exists");
+            let slot = *self.slot(self.rob_base);
             let abs = self.rob_base;
             self.rob_base += 1;
+            self.rob_len -= 1;
             self.last_commit_cycle = now;
             self.stats.committed += 1;
             match slot.class {
@@ -346,12 +371,12 @@ impl Core {
                     self.sq_used -= 1;
                     // The store drains from the store queue to the cache at
                     // commit (write-buffer semantics: latency is hidden).
-                    if let Some((addr, _)) = slot.mem_addr {
-                        self.hierarchy.access(addr);
-                        // Drop the disambiguation entry unless a younger
-                        // in-flight store to the same word replaced it.
-                        if self.store_map.get(&(addr / 4)) == Some(&abs) {
-                            self.store_map.remove(&(addr / 4));
+                    self.hierarchy.access(slot.mem_addr);
+                    // Drop the disambiguation entry unless a younger
+                    // in-flight store to the same word replaced it.
+                    if let Entry::Occupied(entry) = self.store_map.entry(slot.mem_addr / 4) {
+                        if *entry.get() == abs {
+                            entry.remove();
                         }
                     }
                 }
@@ -366,45 +391,40 @@ impl Core {
         let mut load_tokens = self.cfg.load_units;
         let mut store_tokens = self.cfg.store_units;
         let mut budget = self.cfg.issue_width;
-        let mut issued_positions: Vec<usize> = Vec::new();
+        let lat = self.cfg.latencies;
 
-        for pos in 0..self.iq.len() {
+        // One in-place pass in age order: issued entries drop out of the
+        // queue, the rest keep their order.
+        let mut iq = std::mem::take(&mut self.iq);
+        iq.retain(|&abs| {
             if budget == 0 {
-                break;
+                return true;
             }
-            let abs = self.iq[pos];
-            let idx = (abs - self.rob_base) as usize;
-            let deps = self.rob[idx].deps;
-            if !deps.iter().flatten().all(|&d| self.dep_ready(d)) {
-                continue;
+            let slot = *self.slot(abs);
+            if !slot.deps.iter().all(|&d| self.dep_ready(d, now)) {
+                return true;
             }
-            let class = self.rob[idx].class;
-            // Functional unit / structural checks.
-            let lat = self.cfg.latencies;
-            let done_at = match class {
-                OpClass::IntAlu => {
-                    if int_tokens == 0 {
-                        continue;
-                    }
-                    int_tokens -= 1;
-                    now + lat.int_alu
-                }
-                OpClass::FpAdd | OpClass::FpMul => {
-                    if fp_tokens == 0 {
-                        continue;
-                    }
-                    fp_tokens -= 1;
-                    now + if class == OpClass::FpAdd {
-                        lat.fp_add
-                    } else {
-                        lat.fp_mul
-                    }
-                }
+            // Functional unit / structural checks. The integer ALUs also
+            // resolve branches and execute the NPU queue instructions.
+            let tokens = match slot.class {
+                OpClass::FpAdd
+                | OpClass::FpMul
+                | OpClass::FpDiv
+                | OpClass::FpSqrt
+                | OpClass::FpTrig => &mut fp_tokens,
+                OpClass::Load => &mut load_tokens,
+                OpClass::Store => &mut store_tokens,
+                _ => &mut int_tokens,
+            };
+            if *tokens == 0 {
+                return true;
+            }
+            let latency = match slot.class {
+                OpClass::IntAlu => lat.int_alu,
+                OpClass::FpAdd => lat.fp_add,
+                OpClass::FpMul => lat.fp_mul,
                 OpClass::FpDiv | OpClass::FpSqrt | OpClass::FpTrig => {
-                    if fp_tokens == 0 {
-                        continue;
-                    }
-                    let latency = match class {
+                    let latency = match slot.class {
                         OpClass::FpDiv => lat.fp_div,
                         OpClass::FpSqrt => lat.fp_sqrt,
                         _ => lat.fp_trig,
@@ -415,79 +435,41 @@ impl Core {
                         .iter()
                         .position(|&busy_until| busy_until <= now)
                     else {
-                        continue;
+                        return true;
                     };
-                    fp_tokens -= 1;
                     self.fp_unit_busy[unit] = now + latency;
-                    now + latency
+                    latency
                 }
-                OpClass::Load => {
-                    if load_tokens == 0 {
-                        continue;
-                    }
-                    load_tokens -= 1;
-                    if self.rob[idx].forwarded {
-                        now + 1 // store-to-load forwarding
-                    } else {
-                        let addr = self.rob[idx].mem_addr.expect("load has address").0;
-                        now + self.hierarchy.access(addr)
-                    }
-                }
-                OpClass::Store => {
-                    if store_tokens == 0 {
-                        continue;
-                    }
-                    store_tokens -= 1;
-                    now + 1 // address/data into the store queue
-                }
-                OpClass::Branch | OpClass::Jump | OpClass::Call | OpClass::Ret => {
-                    if int_tokens == 0 {
-                        continue;
-                    }
-                    int_tokens -= 1;
-                    now + lat.branch
-                }
+                OpClass::Load if slot.forwarded => 1, // store-to-load forwarding
+                OpClass::Load => self.hierarchy.access(slot.mem_addr),
+                OpClass::Store => 1, // address/data into the store queue
+                OpClass::Branch | OpClass::Jump | OpClass::Call | OpClass::Ret => lat.branch,
                 OpClass::NpuEnqD => {
                     if !self.npu_enq_ready() {
-                        continue;
+                        return true;
                     }
-                    if int_tokens == 0 {
-                        continue;
-                    }
-                    int_tokens -= 1;
                     self.npu_do_enq(now);
-                    now + lat.npu_queue
+                    lat.npu_queue
                 }
                 OpClass::NpuDeqD => {
                     if !self.npu_deq_ready(now) {
-                        continue;
+                        return true;
                     }
-                    if int_tokens == 0 {
-                        continue;
-                    }
-                    int_tokens -= 1;
                     self.npu_do_deq();
-                    now + lat.npu_queue
+                    lat.npu_queue
                 }
-                OpClass::NpuEnqC | OpClass::NpuDeqC => {
-                    // Non-speculative configuration traffic: one word per
-                    // cycle through the config FIFO.
-                    if int_tokens == 0 {
-                        continue;
-                    }
-                    int_tokens -= 1;
-                    now + lat.npu_queue
-                }
+                // Non-speculative configuration traffic: one word per
+                // cycle through the config FIFO.
+                OpClass::NpuEnqC | OpClass::NpuDeqC => lat.npu_queue,
             };
-            self.rob[idx].state = SlotState::Executing(done_at);
-            self.completions.push(Reverse((done_at, abs)));
-            issued_positions.push(pos);
+            *tokens -= 1;
+            // A zero latency still produces its result at the next cycle's
+            // writeback, never within the cycle it issues.
+            self.rob[(abs & self.rob_mask) as usize].done_at = now + latency.max(1);
             budget -= 1;
-        }
-        // Remove issued entries (back to front to keep positions valid).
-        for &pos in issued_positions.iter().rev() {
-            self.iq.remove(pos);
-        }
+            false
+        });
+        self.iq = iq;
     }
 
     fn npu_enq_ready(&self) -> bool {
@@ -513,7 +495,6 @@ impl Core {
                 n_inputs,
                 n_outputs,
                 pending_inputs,
-                ready_outputs: _,
             } => {
                 *pending_inputs += 1;
                 if *pending_inputs == *n_inputs {
@@ -560,7 +541,7 @@ impl Core {
             if ready_at > now {
                 break;
             }
-            if self.rob.len() >= self.cfg.rob_entries {
+            if self.rob_len >= self.cfg.rob_entries {
                 self.stats.rob_full_stalls += 1;
                 break;
             }
@@ -580,26 +561,25 @@ impl Core {
                 _ => {}
             }
             self.fetch_buffer.pop_front();
-            let abs = self.rob_base + self.rob.len() as u64;
+            let abs = self.rob_base + self.rob_len as u64;
 
-            let mut deps: [Option<u64>; 4] = [None; 4];
-            for (i, src) in ev.srcs.iter().enumerate() {
+            // A producer that has since committed reads as ready, so the
+            // last writer is recorded whether or not it is still in flight.
+            let mut deps = [NONE; 4];
+            for (dep, src) in deps.iter_mut().zip(ev.srcs) {
                 if let Some(reg) = src {
-                    if let Some(&producer) = self.reg_producer.get(reg) {
-                        if producer >= self.rob_base {
-                            deps[i] = Some(producer);
-                        }
-                    }
+                    *dep = self.reg_producer.get(reg as usize).copied().unwrap_or(NONE);
                 }
             }
             let mut forwarded = false;
+            let mem_addr = ev.mem.map_or(0, |m| m.addr);
             match ev.class {
                 OpClass::Load => {
                     self.lq_used += 1;
                     let addr = ev.mem.expect("load has mem info").addr;
                     if let Some(&store) = self.store_map.get(&(addr / 4)) {
                         if store >= self.rob_base {
-                            deps[3] = Some(store);
+                            deps[3] = store;
                             forwarded = true;
                         }
                     }
@@ -613,25 +593,26 @@ impl Core {
                     // "The renaming logic implicitly considers every NPU
                     // instruction to read and write a designated dummy
                     // architectural register" — total order among them.
-                    if let Some(prev) = self.last_npu {
-                        if prev >= self.rob_base {
-                            deps[3] = Some(prev);
-                        }
-                    }
-                    self.last_npu = Some(abs);
+                    deps[3] = self.last_npu;
+                    self.last_npu = abs;
                 }
                 _ => {}
             }
             if let Some(dst) = ev.dst {
-                self.reg_producer.insert(dst, abs);
+                let reg = dst as usize;
+                if reg >= self.reg_producer.len() {
+                    self.reg_producer.resize(reg + 1, NONE);
+                }
+                self.reg_producer[reg] = abs;
             }
-            self.rob.push_back(Slot {
+            self.rob[(abs & self.rob_mask) as usize] = Slot {
                 class: ev.class,
-                mem_addr: ev.mem.map(|m| (m.addr, m.is_store)),
-                deps,
                 forwarded,
-                state: SlotState::InIq,
-            });
+                mem_addr,
+                deps,
+                done_at: NOT_ISSUED,
+            };
+            self.rob_len += 1;
             self.iq.push(abs);
         }
     }
@@ -658,9 +639,8 @@ impl Core {
                 );
                 if !prediction.correct {
                     // Block fetch until this branch resolves.
-                    self.fetch_blocked_on = Some(
-                        self.rob_base + self.rob.len() as u64 + self.fetch_buffer.len() as u64,
-                    );
+                    self.fetch_blocked_on =
+                        Some(self.rob_base + self.rob_len as u64 + self.fetch_buffer.len() as u64);
                     end_group = true;
                 } else if info.taken {
                     // Correctly predicted taken: redirect still ends the

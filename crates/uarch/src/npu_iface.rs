@@ -24,8 +24,6 @@ pub enum NpuAttachment {
         n_outputs: usize,
         /// Inputs received toward the current invocation.
         pending_inputs: usize,
-        /// Outputs ready to dequeue.
-        ready_outputs: usize,
     },
 }
 
@@ -36,7 +34,6 @@ impl NpuAttachment {
             n_inputs,
             n_outputs,
             pending_inputs: 0,
-            ready_outputs: 0,
         }
     }
 }
@@ -67,10 +64,8 @@ mod tests {
                 n_inputs,
                 n_outputs,
                 pending_inputs,
-                ready_outputs,
             } => {
-                assert_eq!((n_inputs, n_outputs), (9, 1));
-                assert_eq!((pending_inputs, ready_outputs), (0, 0));
+                assert_eq!((n_inputs, n_outputs, pending_inputs), (9, 1, 0));
             }
             _ => panic!("wrong variant"),
         }
