@@ -36,18 +36,32 @@ fn config_for(layers: Vec<usize>) -> NpuConfig {
     )
 }
 
+/// One invocation through the cycle-accurate NPU's FIFO protocol: enqueue
+/// and commit the inputs, run to idle, then dequeue and commit the
+/// outputs so the output FIFO never fills.
+fn npu_invocation(sim: &mut NpuSim, n_in: usize, n_out: usize) -> u64 {
+    for _ in 0..n_in {
+        sim.enqueue_input();
+    }
+    sim.commit_inputs(n_in);
+    sim.run_until_idle();
+    for _ in 0..n_out {
+        sim.dequeue_output();
+    }
+    sim.commit_outputs(n_out);
+    sim.cycle()
+}
+
 /// Cycle-accurate NPU invocation, per paper topology.
 fn bench_npu_invocation(c: &mut Criterion) {
     let mut group = c.benchmark_group("npu_invocation");
     for (name, layers) in paper_topologies() {
         let config = config_for(layers);
-        let inputs: Vec<f32> = (0..config.topology().inputs())
-            .map(|i| 0.1 + 0.8 * (i as f32 / 64.0))
-            .collect();
+        let (n_in, n_out) = (config.topology().inputs(), config.topology().outputs());
         group.bench_function(name, |b| {
             let mut sim = NpuSim::new(NpuParams::default());
             sim.configure(&config).unwrap();
-            b.iter(|| sim.evaluate_invocation(&inputs).unwrap());
+            b.iter(|| npu_invocation(&mut sim, n_in, n_out));
         });
     }
     group.finish();
@@ -257,9 +271,9 @@ fn bench_npu_functional(c: &mut Criterion) {
     group.finish();
 }
 
-/// Streaming trace replay throughput: push a fixed event stream through a
-/// `TraceSink` (the core model and the cycle-accurate NPU) exactly the way
-/// the sweep's cycle-level jobs do.
+/// Streaming trace replay throughput: push a fixed event stream through
+/// the core model's `TraceSink` exactly the way the sweep's cycle-level
+/// jobs do.
 fn bench_trace_replay(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace_replay");
 
@@ -284,26 +298,6 @@ fn bench_trace_replay(c: &mut Criterion) {
         });
     });
 
-    // 20 sobel-shaped invocations (9 enq.d + 1 deq.d each) replayed into
-    // the NPU's timing-only sink.
-    let config = config_for(vec![9, 8, 1]);
-    let mut npu_events = Vec::new();
-    for _ in 0..20 {
-        for _ in 0..9 {
-            npu_events.push(TraceEvent::simple(0, OpClass::NpuEnqD, [None; 3], None));
-        }
-        npu_events.push(TraceEvent::simple(0, OpClass::NpuDeqD, [None; 3], None));
-    }
-    group.bench_function("npu_20_invocations", |b| {
-        b.iter(|| {
-            let mut sim = NpuSim::new(NpuParams::default());
-            sim.configure(&config).unwrap();
-            for ev in &npu_events {
-                sim.event(ev);
-            }
-            sim.stats().invocations
-        });
-    });
     group.finish();
 }
 
@@ -380,7 +374,6 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     }
 
     let config = config_for(vec![9, 8, 1]);
-    let inputs: Vec<f32> = (0..9).map(|i| 0.1 + 0.08 * i as f32).collect();
     let events: Vec<TraceEvent> = (0..10_000)
         .map(|i| {
             TraceEvent::simple(
@@ -433,7 +426,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     group.bench_function("npu_hot_loop/disabled", |b| {
         let mut sim = NpuSim::new(NpuParams::default());
         sim.configure(&config).unwrap();
-        b.iter(|| sim.evaluate_invocation(&inputs).unwrap());
+        b.iter(|| npu_invocation(&mut sim, 9, 1));
     });
     group.bench_function("core_sim_10k_alu/disabled", |b| {
         b.iter(|| run_core(&events))
@@ -452,7 +445,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     group.bench_function("npu_hot_loop/trace_enabled", |b| {
         let mut sim = NpuSim::new(NpuParams::default());
         sim.configure(&config).unwrap();
-        b.iter(|| sim.evaluate_invocation(&inputs).unwrap());
+        b.iter(|| npu_invocation(&mut sim, 9, 1));
     });
     group.bench_function("core_sim_10k_alu/trace_enabled", |b| {
         b.iter(|| run_core(&events))

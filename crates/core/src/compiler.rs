@@ -390,11 +390,33 @@ mod tests {
         assert_eq!(compiled.invocation_stub().n_params(), 2);
         assert_eq!(compiled.invocation_stub().n_rets(), 1);
         assert!(compiled.config_loader().len() > 10);
-        // The stub+config reproduce evaluate() through a real NPU.
-        let mut sim = compiled.make_npu().unwrap();
-        let got = sim.evaluate_invocation(&[0.4, 0.6]).unwrap();
-        let want = compiled.evaluate(&[0.4, 0.6]);
-        assert!((got[0] - want[0]).abs() < 1e-6);
+        // The loader configures an NPU through enq.c, and the stub then
+        // reproduces evaluate() bit for bit.
+        let mut program = Program::new();
+        let loader = program.add_function(compiled.config_loader().clone());
+        let stub = program.add_function(compiled.invocation_stub().clone());
+        let mut runtime = crate::NpuRuntime::new(compiled.npu_params().clone());
+        let mut sink = approx_ir::NullSink;
+        let mut interp = approx_ir::Interpreter::new(&program);
+        interp
+            .run_full(loader, &[], &mut sink, Some(&mut runtime))
+            .unwrap();
+        assert_eq!(runtime.current_config(), Some(compiled.config()));
+        let args = [approx_ir::Value::F(0.4), approx_ir::Value::F(0.6)];
+        let out = interp
+            .run_full(stub, &args, &mut sink, Some(&mut runtime))
+            .unwrap();
+        assert_eq!(
+            out.outputs[0].as_f32().unwrap(),
+            compiled.evaluate(&[0.4, 0.6])[0]
+        );
+        // The timing NPU charges the same config word stream.
+        let sim = compiled.make_npu().unwrap();
+        assert!(sim.configured());
+        assert_eq!(
+            sim.stats().config_words,
+            compiled.config().encoded_len() as u64
+        );
     }
 
     #[test]

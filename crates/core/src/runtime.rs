@@ -1,17 +1,14 @@
 //! Runtime adapter: answers the IR interpreter's NPU queue instructions
-//! with a fast functional model of the NPU.
+//! with the functional model of the NPU.
 //!
-//! Functional and counting runs (and the *value* side of timed runs —
-//! timing comes from the core's attached cycle-accurate simulator, not
-//! from this port) only need the architecturally visible effect of each
-//! invocation. Driving the full cycle-level [`NpuSim`](npu::NpuSim) for
-//! that, as earlier revisions did, pays bus-schedule and FIFO machinery
-//! costs per invocation that contribute nothing to the produced values.
-//! This port instead evaluates invocations directly through the batched
-//! SIMD replay kernel ([`BatchEvaluator`]): values are bit-identical to
-//! the simulator (which matches [`NpuConfig::evaluate`] by construction),
-//! and sweeps spend their time in training and timing instead of
-//! redundant functional cycle simulation.
+//! This is the one implementation of the NPU's ISA-visible behaviour:
+//! `enq.c` words accumulate until a configuration decodes, `deq.c` reads
+//! the configuration back for a context switch, and `enq.d`/`deq.d`
+//! carry the invocation values. Timed runs attach the cycle-accurate
+//! [`NpuSim`](npu::NpuSim) to the core as well, but that model tracks
+//! only when things happen. The values come from here: invocations are
+//! evaluated through the batched SIMD replay kernel ([`BatchEvaluator`]),
+//! bit-identical to [`NpuConfig::evaluate`].
 
 use approx_ir::NpuPort;
 use npu::{BatchEvaluator, NpuConfig, NpuError, NpuParams, Scheduler};
@@ -35,10 +32,11 @@ struct Loaded {
 ///
 /// `enq.c` words accumulate until a full configuration decodes (which is
 /// also validated against the hardware sizing in `params`, exactly like
-/// the cycle-accurate simulator's configuration path); `enq.d` buffers
-/// inputs; `deq.d` evaluates every complete pending invocation through
-/// the batched replay kernel and streams the outputs back. Values are
-/// bit-identical to the hardware model.
+/// [`NpuSim::configure`](npu::NpuSim::configure)); `deq.c` streams the
+/// loaded configuration back out; `enq.d` buffers inputs; `deq.d`
+/// evaluates every complete pending invocation through the batched
+/// replay kernel and streams the outputs back. Values are bit-identical
+/// to [`NpuConfig::evaluate`].
 #[derive(Debug)]
 pub struct NpuRuntime {
     params: NpuParams,

@@ -72,9 +72,9 @@ impl NpuConfig {
     /// normalize, run the network with the hardware's LUT sigmoid,
     /// denormalize.
     ///
-    /// This is the *reference semantics* of one NPU invocation; the
-    /// cycle-accurate [`NpuSim`](crate::NpuSim) produces identical values
-    /// (tests assert it), it just also tells you *when*.
+    /// These are the values one NPU invocation produces. The
+    /// cycle-accurate [`NpuSim`](crate::NpuSim) models only *when* it
+    /// produces them: its timing never depends on the values.
     pub fn evaluate(&self, inputs: &[f32]) -> Vec<f32> {
         // The hardware-default LUT is immutable; build it once per process
         // rather than per invocation.
@@ -285,6 +285,22 @@ mod tests {
         let mut words = sample_config().encode();
         words.push(0);
         assert!(NpuConfig::decode(&words).is_err());
+    }
+
+    #[test]
+    fn bad_config_stream_is_rejected_early() {
+        // One bad word is enough: a receiver of `enq.c` words need not
+        // wait for the rest of the stream.
+        assert!(matches!(
+            NpuConfig::stream_len(&[0x1234_5678]),
+            Err(NpuError::InvalidConfig(_))
+        ));
+        let words = sample_config().encode();
+        assert_eq!(NpuConfig::stream_len(&words[..1]).unwrap(), None);
+        assert_eq!(
+            NpuConfig::stream_len(&words[..5]).unwrap(),
+            Some(words.len())
+        );
     }
 
     #[test]

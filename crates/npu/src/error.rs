@@ -5,8 +5,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum NpuError {
-    /// A data or readback operation ran before any configuration.
-    NotConfigured,
     /// The configuration word stream failed to decode.
     InvalidConfig(String),
     /// A network does not fit the NPU's structures.
@@ -21,14 +19,11 @@ pub enum NpuError {
     /// An enqueue hit a full FIFO (callers should check occupancy first;
     /// the core model stalls the instruction instead).
     FifoFull(&'static str),
-    /// A dequeue hit an empty FIFO.
-    FifoEmpty(&'static str),
 }
 
 impl fmt::Display for NpuError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NpuError::NotConfigured => write!(f, "npu has not been configured"),
             NpuError::InvalidConfig(why) => write!(f, "invalid npu configuration: {why}"),
             NpuError::CapacityExceeded {
                 structure,
@@ -39,7 +34,6 @@ impl fmt::Display for NpuError {
                 "network needs {needed} {structure} entries but hardware has {available}"
             ),
             NpuError::FifoFull(name) => write!(f, "{name} fifo is full"),
-            NpuError::FifoEmpty(name) => write!(f, "{name} fifo is empty"),
         }
     }
 }

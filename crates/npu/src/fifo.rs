@@ -8,18 +8,19 @@
 //! `deq.d`s) and a *non-speculative head* (advanced at commit), so a
 //! misspeculated dequeue can be replayed.
 //!
-//! The input FIFO tracks *absolute* (monotonically increasing) push,
-//! commit, read, and process counts, which makes rollback across multiple
-//! in-flight invocations straightforward for the simulator.
+//! NPU timing never depends on the values that flow through the FIFOs
+//! (the bus schedule is static), so both FIFOs are modelled as absolute,
+//! monotonically increasing positions alone: push, commit, read, process
+//! and free counts. That also makes rollback across multiple in-flight
+//! invocations straightforward for the simulator.
 
 use crate::NpuError;
-use std::collections::VecDeque;
 
 /// The CPU→NPU input FIFO with speculative-tail semantics.
 #[derive(Debug, Clone)]
 pub struct InputFifo {
-    /// Live entries (pushed, not yet freed).
-    buf: VecDeque<f32>,
+    /// Absolute count of pushes (committed and speculative).
+    pushed: u64,
     /// Absolute count of entries freed (recycled) so far.
     freed: u64,
     /// Absolute count of committed pushes.
@@ -35,7 +36,7 @@ impl InputFifo {
     /// Creates an empty FIFO with the given capacity.
     pub fn new(capacity: usize) -> Self {
         InputFifo {
-            buf: VecDeque::with_capacity(capacity),
+            pushed: 0,
             freed: 0,
             committed: 0,
             consumed: 0,
@@ -46,7 +47,7 @@ impl InputFifo {
 
     /// Absolute count of pushes so far.
     pub fn pushed(&self) -> u64 {
-        self.freed + self.buf.len() as u64
+        self.pushed
     }
 
     /// Absolute count of committed pushes so far.
@@ -61,36 +62,36 @@ impl InputFifo {
 
     /// Occupied entries (committed + speculative).
     pub fn len(&self) -> usize {
-        self.buf.len()
+        (self.pushed - self.freed) as usize
     }
 
     /// Whether the FIFO holds no live entries.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.pushed == self.freed
     }
 
     /// Whether a further `enq.d` would find space (the scheduler "only
     /// issues an enqueue instruction if the corresponding FIFO is not
     /// full").
     pub fn has_space(&self) -> bool {
-        self.buf.len() < self.capacity
+        self.len() < self.capacity
     }
 
     /// Whether the NPU has an unread entry available.
     pub fn readable(&self) -> bool {
-        self.consumed < self.pushed()
+        self.consumed < self.pushed
     }
 
-    /// Speculatively pushes a value (at `enq.d` execute).
+    /// Speculatively pushes an entry (at `enq.d` execute).
     ///
     /// # Errors
     ///
     /// Returns [`NpuError::FifoFull`] when at capacity.
-    pub fn push_spec(&mut self, value: f32) -> Result<(), NpuError> {
+    pub fn push_spec(&mut self) -> Result<(), NpuError> {
         if !self.has_space() {
             return Err(NpuError::FifoFull("input"));
         }
-        self.buf.push_back(value);
+        self.pushed += 1;
         Ok(())
     }
 
@@ -101,7 +102,7 @@ impl InputFifo {
     /// Panics if there is no speculative entry to commit.
     pub fn commit_push(&mut self) {
         assert!(
-            self.committed < self.pushed(),
+            self.committed < self.pushed,
             "commit without matching speculative push"
         );
         self.committed += 1;
@@ -109,15 +110,13 @@ impl InputFifo {
     }
 
     /// NPU-side: reads the next unconsumed entry, advancing the cursor.
-    pub fn read_next(&mut self) -> Option<f32> {
-        if self.readable() {
-            let idx = (self.consumed - self.freed) as usize;
-            let v = self.buf[idx];
+    /// Returns whether an entry existed.
+    pub fn read_next(&mut self) -> bool {
+        let readable = self.readable();
+        if readable {
             self.consumed += 1;
-            Some(v)
-        } else {
-            None
         }
+        readable
     }
 
     /// NPU-side: declares that the invocation consuming the oldest `n`
@@ -137,11 +136,7 @@ impl InputFifo {
     }
 
     fn try_free(&mut self) {
-        let target = self.processed.min(self.committed);
-        while self.freed < target {
-            self.buf.pop_front();
-            self.freed += 1;
-        }
+        self.freed = self.freed.max(self.processed.min(self.committed));
     }
 
     /// Misspeculation rollback: removes the youngest `n` (speculative)
@@ -153,14 +148,13 @@ impl InputFifo {
     /// Panics if asked to squash committed entries.
     pub fn squash_pushes(&mut self, n: usize) -> u64 {
         assert!(
-            self.pushed() - self.committed >= n as u64,
+            self.pushed - self.committed >= n as u64,
             "cannot squash committed entries"
         );
-        let new_pushed = self.pushed() - n as u64;
-        let overrun = self.consumed.saturating_sub(new_pushed);
-        self.buf.truncate((new_pushed - self.freed) as usize);
-        self.consumed = self.consumed.min(new_pushed);
-        self.processed = self.processed.min(new_pushed);
+        self.pushed -= n as u64;
+        let overrun = self.consumed.saturating_sub(self.pushed);
+        self.consumed = self.consumed.min(self.pushed);
+        self.processed = self.processed.min(self.pushed);
         overrun
     }
 
@@ -171,25 +165,22 @@ impl InputFifo {
     ///
     /// Panics if `to` points at already-freed or not-yet-pushed entries.
     pub fn rewind_to(&mut self, to: u64) {
-        assert!(
-            to >= self.freed && to <= self.pushed(),
-            "rewind out of range"
-        );
+        assert!(to >= self.freed && to <= self.pushed, "rewind out of range");
         self.consumed = to;
-    }
-
-    /// Entries pushed but not yet committed (speculative suffix length).
-    pub fn speculative_len(&self) -> usize {
-        (self.pushed() - self.committed) as usize
     }
 }
 
 /// The NPU→CPU output FIFO with speculative-head semantics.
 #[derive(Debug, Clone)]
 pub struct OutputFifo {
-    buf: VecDeque<f32>,
-    /// Entries speculatively read by issued-but-uncommitted `deq.d`s.
-    spec_head: usize,
+    /// Absolute count of outputs pushed (less any invalidated).
+    pushed: u64,
+    /// Absolute speculative head: entries read by issued `deq.d`s,
+    /// committed or not.
+    spec_head: u64,
+    /// Absolute non-speculative head: entries whose `deq.d` committed,
+    /// and which are therefore freed.
+    head: u64,
     capacity: usize,
 }
 
@@ -197,8 +188,9 @@ impl OutputFifo {
     /// Creates an empty FIFO with the given capacity.
     pub fn new(capacity: usize) -> Self {
         OutputFifo {
-            buf: VecDeque::with_capacity(capacity),
+            pushed: 0,
             spec_head: 0,
+            head: 0,
             capacity,
         }
     }
@@ -206,22 +198,22 @@ impl OutputFifo {
     /// Occupied entries (including speculatively read ones, which are
     /// retained until their `deq.d` commits).
     pub fn len(&self) -> usize {
-        self.buf.len()
+        (self.pushed - self.head) as usize
     }
 
     /// Whether the FIFO holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.pushed == self.head
     }
 
     /// Whether the NPU can push another output.
     pub fn has_space(&self) -> bool {
-        self.buf.len() < self.capacity
+        self.len() < self.capacity
     }
 
     /// Whether a `deq.d` can issue (an unread entry exists).
     pub fn available(&self) -> bool {
-        self.spec_head < self.buf.len()
+        self.spec_head < self.pushed
     }
 
     /// NPU-side: appends a computed output.
@@ -229,24 +221,23 @@ impl OutputFifo {
     /// # Errors
     ///
     /// Returns [`NpuError::FifoFull`] when at capacity.
-    pub fn push(&mut self, value: f32) -> Result<(), NpuError> {
+    pub fn push(&mut self) -> Result<(), NpuError> {
         if !self.has_space() {
             return Err(NpuError::FifoFull("output"));
         }
-        self.buf.push_back(value);
+        self.pushed += 1;
         Ok(())
     }
 
     /// Speculatively reads the next entry (at `deq.d` issue): advances the
-    /// speculative head but preserves the value for possible replay.
-    pub fn pop_spec(&mut self) -> Option<f32> {
-        if self.available() {
-            let v = self.buf[self.spec_head];
+    /// speculative head but keeps the entry for possible replay. Returns
+    /// whether an entry existed.
+    pub fn pop_spec(&mut self) -> bool {
+        let available = self.available();
+        if available {
             self.spec_head += 1;
-            Some(v)
-        } else {
-            None
         }
+        available
     }
 
     /// Commits the oldest speculative read (at `deq.d` commit), actually
@@ -257,9 +248,11 @@ impl OutputFifo {
     ///
     /// Panics if no speculative read is outstanding.
     pub fn commit_pop(&mut self) {
-        assert!(self.spec_head > 0, "commit_pop without speculative read");
-        self.buf.pop_front();
-        self.spec_head -= 1;
+        assert!(
+            self.spec_head > self.head,
+            "commit_pop without speculative read"
+        );
+        self.head += 1;
     }
 
     /// Misspeculation rollback: undoes the youngest `n` speculative reads
@@ -269,8 +262,11 @@ impl OutputFifo {
     ///
     /// Panics if fewer than `n` speculative reads are outstanding.
     pub fn squash_pops(&mut self, n: usize) {
-        assert!(n <= self.spec_head, "cannot squash committed pops");
-        self.spec_head -= n;
+        assert!(
+            n as u64 <= self.spec_head - self.head,
+            "cannot squash committed pops"
+        );
+        self.spec_head -= n as u64;
     }
 
     /// Removes the youngest `n` entries — outputs computed from inputs
@@ -284,15 +280,10 @@ impl OutputFifo {
     /// [`squash_pops`](Self::squash_pops) first).
     pub fn invalidate_tail(&mut self, n: usize) {
         assert!(
-            n <= self.buf.len() - self.spec_head,
+            n as u64 <= self.pushed - self.spec_head,
             "invalidating entries that were already read"
         );
-        self.buf.truncate(self.buf.len() - n);
-    }
-
-    /// Entries read speculatively but not yet committed.
-    pub fn speculative_reads(&self) -> usize {
-        self.spec_head
+        self.pushed -= n as u64;
     }
 }
 
@@ -303,11 +294,11 @@ mod tests {
     #[test]
     fn input_fifo_basic_flow() {
         let mut f = InputFifo::new(4);
-        f.push_spec(1.0).unwrap();
-        f.push_spec(2.0).unwrap();
-        assert_eq!(f.read_next(), Some(1.0));
-        assert_eq!(f.read_next(), Some(2.0));
-        assert_eq!(f.read_next(), None);
+        f.push_spec().unwrap();
+        f.push_spec().unwrap();
+        assert!(f.read_next());
+        assert!(f.read_next());
+        assert!(!f.read_next());
         // Invocation done but nothing committed: entries stay.
         f.mark_processed(2);
         assert_eq!(f.len(), 2);
@@ -320,10 +311,10 @@ mod tests {
     #[test]
     fn input_fifo_commit_before_processing_frees_lazily() {
         let mut f = InputFifo::new(4);
-        f.push_spec(1.0).unwrap();
+        f.push_spec().unwrap();
         f.commit_push();
         assert_eq!(f.len(), 1); // committed but NPU hasn't finished with it
-        assert_eq!(f.read_next(), Some(1.0));
+        assert!(f.read_next());
         f.mark_processed(1);
         assert!(f.is_empty());
     }
@@ -331,20 +322,20 @@ mod tests {
     #[test]
     fn input_fifo_reports_full() {
         let mut f = InputFifo::new(2);
-        f.push_spec(1.0).unwrap();
-        f.push_spec(2.0).unwrap();
-        assert_eq!(f.push_spec(3.0), Err(NpuError::FifoFull("input")));
+        f.push_spec().unwrap();
+        f.push_spec().unwrap();
+        assert_eq!(f.push_spec(), Err(NpuError::FifoFull("input")));
         assert!(!f.has_space());
     }
 
     #[test]
     fn input_squash_of_unread_entries_is_clean() {
         let mut f = InputFifo::new(8);
-        f.push_spec(1.0).unwrap();
-        f.push_spec(2.0).unwrap();
-        f.push_spec(3.0).unwrap();
+        for _ in 0..3 {
+            f.push_spec().unwrap();
+        }
         f.commit_push();
-        assert_eq!(f.read_next(), Some(1.0));
+        assert!(f.read_next());
         // Squash the two speculative entries the NPU never read.
         assert_eq!(f.squash_pushes(2), 0);
         assert_eq!(f.len(), 1);
@@ -354,25 +345,26 @@ mod tests {
     #[test]
     fn input_squash_of_read_entries_reports_overrun() {
         let mut f = InputFifo::new(8);
-        for v in [1.0, 2.0, 3.0] {
-            f.push_spec(v).unwrap();
+        for _ in 0..3 {
+            f.push_spec().unwrap();
         }
-        f.read_next();
-        f.read_next();
-        f.read_next();
+        for _ in 0..3 {
+            assert!(f.read_next());
+        }
         let overrun = f.squash_pushes(2); // NPU had read all three
         assert_eq!(overrun, 2);
         f.rewind_to(0);
-        assert_eq!(f.read_next(), Some(1.0)); // re-reads surviving input
+        assert!(f.read_next()); // re-reads the surviving input
+        assert!(!f.read_next());
     }
 
     #[test]
     fn absolute_counters_survive_freeing() {
         let mut f = InputFifo::new(2);
-        for round in 0..5u32 {
-            f.push_spec(round as f32).unwrap();
+        for _ in 0..5 {
+            f.push_spec().unwrap();
             f.commit_push();
-            assert_eq!(f.read_next(), Some(round as f32));
+            assert!(f.read_next());
             f.mark_processed(1);
         }
         assert_eq!(f.pushed(), 5);
@@ -384,7 +376,7 @@ mod tests {
     #[should_panic(expected = "cannot squash committed")]
     fn input_squash_cannot_touch_committed() {
         let mut f = InputFifo::new(8);
-        f.push_spec(1.0).unwrap();
+        f.push_spec().unwrap();
         f.commit_push();
         f.squash_pushes(1);
     }
@@ -392,25 +384,26 @@ mod tests {
     #[test]
     fn output_fifo_speculative_read_replay() {
         let mut f = OutputFifo::new(4);
-        f.push(10.0).unwrap();
-        f.push(20.0).unwrap();
-        assert_eq!(f.pop_spec(), Some(10.0));
-        assert_eq!(f.pop_spec(), Some(20.0));
-        // Misspeculation: both dequeues squashed; values must replay.
+        f.push().unwrap();
+        f.push().unwrap();
+        assert!(f.pop_spec());
+        assert!(f.pop_spec());
+        assert!(!f.pop_spec());
+        // Misspeculation: both dequeues squashed; entries must replay.
         f.squash_pops(2);
-        assert_eq!(f.pop_spec(), Some(10.0));
+        assert!(f.pop_spec());
         f.commit_pop();
         assert_eq!(f.len(), 1);
-        assert_eq!(f.pop_spec(), Some(20.0));
+        assert!(f.pop_spec());
     }
 
     #[test]
     fn output_fifo_invalidate_tail_drops_unread() {
         let mut f = OutputFifo::new(4);
-        f.push(1.0).unwrap();
-        f.push(2.0).unwrap();
-        f.push(3.0).unwrap();
-        assert_eq!(f.pop_spec(), Some(1.0));
+        for _ in 0..3 {
+            f.push().unwrap();
+        }
+        assert!(f.pop_spec());
         f.invalidate_tail(2);
         assert_eq!(f.len(), 1);
         assert!(!f.available());
@@ -420,7 +413,7 @@ mod tests {
     #[should_panic(expected = "already read")]
     fn output_invalidate_cannot_remove_read_entries() {
         let mut f = OutputFifo::new(4);
-        f.push(1.0).unwrap();
+        f.push().unwrap();
         f.pop_spec();
         f.invalidate_tail(1);
     }
@@ -428,7 +421,7 @@ mod tests {
     #[test]
     fn output_fifo_capacity() {
         let mut f = OutputFifo::new(1);
-        f.push(1.0).unwrap();
-        assert_eq!(f.push(2.0), Err(NpuError::FifoFull("output")));
+        f.push().unwrap();
+        assert_eq!(f.push(), Err(NpuError::FifoFull("output")));
     }
 }

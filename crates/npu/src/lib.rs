@@ -13,11 +13,15 @@
 //!
 //! * [`NpuConfig`] — the trained network plus normalization ranges, with a
 //!   `u32` wire encoding (what `enq.c` ships and `deq.c` reads back on a
-//!   context switch);
+//!   context switch), and [`NpuConfig::evaluate`], the values one
+//!   invocation produces;
 //! * [`Scheduler`]/[`NpuSchedule`] — the static neuron-to-PE assignment and
 //!   bus schedule (Section 6.2);
 //! * [`NpuSim`] — the cycle-accurate unit, including the speculative
-//!   input/output FIFO protocol of Section 5.2 (`squash`);
+//!   input/output FIFO protocol of Section 5.2 (`squash`). It models time
+//!   only: the bus schedule is static, so no cycle depends on a value;
+//! * [`BatchEvaluator`] — [`NpuConfig::evaluate`] over many invocations at
+//!   once;
 //! * [`estimate_latency`] — per-invocation latency for a topology, used by
 //!   the compiler's topology search;
 //! * [`NpuStats`] — event counts for the energy model.
@@ -25,12 +29,12 @@
 //! # Modelling note
 //!
 //! The real PE writes neuron results into an 8-entry output register file
-//! that the bus later reads. We store inter-layer values in per-layer
-//! buffers (equivalent to streaming output-layer values straight to the
-//! output FIFO and double-buffering between layers), which sidesteps
-//! write-after-read hazards on register reuse without changing any
-//! transfer count or latency. Capacity checks against the register file
-//! size are still enforced per layer.
+//! that the bus later reads. We track, per layer, the cycle each neuron's
+//! result becomes readable (equivalent to streaming output-layer values
+//! straight to the output FIFO and double-buffering between layers), which
+//! sidesteps write-after-read hazards on register reuse without changing
+//! any transfer count or latency. Capacity checks against the register
+//! file size are still enforced per layer.
 //!
 //! # Example
 //!
@@ -39,20 +43,24 @@
 //! use npu::{NpuConfig, NpuParams, NpuSim};
 //!
 //! let topology = Topology::new(vec![2, 4, 1])?;
-//! let mlp = Mlp::seeded(topology, 1);
 //! let config = NpuConfig::new(
-//!     mlp,
+//!     Mlp::seeded(topology, 1),
 //!     Normalizer::identity(2),
 //!     Normalizer::identity(1),
 //! );
 //! let mut sim = NpuSim::new(NpuParams::default());
 //! sim.configure(&config)?;
-//! sim.enqueue_input(0.3);
-//! sim.enqueue_input(0.7);
+//! // Two `enq.d`s commit; the NPU runs the invocation to completion.
+//! sim.enqueue_input();
+//! sim.enqueue_input();
 //! sim.commit_inputs(2);
-//! let out = sim.run_until_output().expect("one output");
-//! let expected = config.evaluate(&[0.3, 0.7]);
-//! assert!((out - expected[0]).abs() < 1e-5);
+//! sim.run_until_idle();
+//! assert!(sim.output_available());
+//! // 4 hidden neurons x 2 inputs + 1 output neuron x 4 hidden values.
+//! assert_eq!(sim.stats().macs, 12);
+//! assert_eq!(sim.stats().invocations, 1);
+//! // The values come from the functional evaluation.
+//! assert_eq!(config.evaluate(&[0.3, 0.7]).len(), 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -81,7 +89,7 @@ pub use stats::NpuStats;
 
 /// Estimates the NPU's per-invocation latency (cycles from first input
 /// consumed to last output produced) for `topology` under `params`, by
-/// running one zero-weight invocation through the cycle-accurate model.
+/// running one invocation through the cycle-accurate model.
 ///
 /// The paper's topology search uses this cost to break accuracy ties
 /// ("the lowest latency on the NPU").
@@ -100,7 +108,7 @@ pub fn try_estimate_latency(topology: &ann::Topology, params: &NpuParams) -> Res
     let mut sim = NpuSim::new(params.clone());
     sim.configure(&config)?;
     for _ in 0..topology.inputs() {
-        sim.enqueue_input(0.5);
+        sim.enqueue_input();
     }
     sim.commit_inputs(topology.inputs());
     let start = sim.cycle();

@@ -26,19 +26,15 @@ pub struct NpuParams {
     pub pe_input_fifo: usize,
     /// Per-PE output register file size (bounds neurons-per-PE per layer).
     pub output_regs: usize,
-    /// Sigmoid LUT entries.
+    /// Sigmoid LUT entries. Like `config_fifo`, this describes the
+    /// hardware (Table 2) and does not change the cycle model: the
+    /// functional evaluation ([`NpuConfig::evaluate`](crate::NpuConfig::evaluate))
+    /// computes the values with the default 2048-entry table.
     pub sigmoid_lut: usize,
     /// When `false`, capacity checks are skipped (used by the PE-count
     /// sensitivity sweep, where one PE would otherwise need oversized
     /// buffers for the largest benchmarks).
     pub strict_capacity: bool,
-    /// Probability that a weight-buffer read returns a value with one
-    /// flipped bit (models defective/approximate hardware, after Temam's
-    /// defect-tolerant accelerator study the paper cites). 0 disables
-    /// fault injection.
-    pub weight_fault_rate: f64,
-    /// Seed for the deterministic fault-injection stream.
-    pub fault_seed: u64,
 }
 
 impl Default for NpuParams {
@@ -54,8 +50,6 @@ impl Default for NpuParams {
             output_regs: 8,
             sigmoid_lut: 2048,
             strict_capacity: true,
-            weight_fault_rate: 0.0,
-            fault_seed: 0xFA17,
         }
     }
 }
@@ -72,12 +66,6 @@ impl NpuParams {
     /// A copy with capacity checks disabled (sensitivity sweeps).
     pub fn unbounded(mut self) -> Self {
         self.strict_capacity = false;
-        self
-    }
-
-    /// A copy with weight-read fault injection enabled at `rate`.
-    pub fn with_fault_rate(mut self, rate: f64) -> Self {
-        self.weight_fault_rate = rate;
         self
     }
 }

@@ -3,12 +3,10 @@
 //! Sweeps and quality experiments evaluate the same [`NpuConfig`] over
 //! thousands of recorded invocations. Doing that one invocation at a time
 //! through [`NpuConfig::evaluate`] leaves the SIMD width of the batched
-//! forward kernel ([`ann::BatchScratch`]) on the table; driving the
-//! cycle-accurate [`NpuSim`](crate::NpuSim) is orders of magnitude slower
-//! still. [`BatchEvaluator`] replays invocations [`ann::LANES`] at a time:
-//! normalize → batched LUT-sigmoid forward → denormalize, bit-identical
-//! per invocation to [`NpuConfig::evaluate`] (and therefore to the
-//! cycle-accurate simulator, which matches `evaluate` by construction).
+//! forward kernel ([`ann::BatchScratch`]) on the table. [`BatchEvaluator`]
+//! replays invocations [`ann::LANES`] at a time: normalize → batched
+//! LUT-sigmoid forward → denormalize, bit-identical per invocation to
+//! [`NpuConfig::evaluate`].
 
 use crate::NpuConfig;
 use ann::{BatchScratch, Scratch, SigmoidLut, LANES};
@@ -152,7 +150,6 @@ impl BatchEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NpuParams, NpuSim};
     use ann::{Mlp, Normalizer, Topology};
 
     /// Table 1's six benchmark topologies.
@@ -202,40 +199,6 @@ mod tests {
                     &got[i * n_out..][..n_out],
                     want.as_slice(),
                     "invocation {i} of topology {k} diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_replay_matches_cycle_accurate_sim() {
-        for (k, layers) in paper_topologies().into_iter().enumerate() {
-            let config = config_for(layers, 7 + k as u64);
-            if NpuSim::new(NpuParams::default())
-                .configure(&config)
-                .is_err()
-            {
-                // Topology exceeds the default hardware sizing; the
-                // functional path still works but there is no sim to
-                // compare against.
-                continue;
-            }
-            let mut sim = NpuSim::new(NpuParams::default());
-            sim.configure(&config).unwrap();
-            let n_in = config.topology().inputs();
-            let n_out = config.topology().outputs();
-            let flat: Vec<f32> = (0..5 * n_in)
-                .map(|i| ((i * 7 + k) % 31) as f32 / 31.0)
-                .collect();
-            let inputs: Vec<&[f32]> = flat.chunks(n_in).collect();
-            let mut eval = BatchEvaluator::new();
-            let got = eval.evaluate(&config, &inputs);
-            for (i, inv) in inputs.iter().enumerate() {
-                let want = sim.evaluate_invocation(inv).unwrap();
-                assert_eq!(
-                    &got[i * n_out..][..n_out],
-                    want.as_slice(),
-                    "invocation {i} of topology {k} diverged from the sim"
                 );
             }
         }

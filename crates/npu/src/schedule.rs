@@ -48,17 +48,17 @@ pub struct BusEntry {
 }
 
 /// The work one PE performs for one neuron: a bias-seeded multiply-add
-/// chain over the inputs in bus-arrival order, then a sigmoid.
+/// chain over the inputs in bus-arrival order, then a sigmoid. The PE's
+/// weight buffer holds `macs` weights plus the bias.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NeuronTask {
     /// Computing layer (0 = first hidden layer).
     pub layer: usize,
     /// Neuron index within the layer.
     pub neuron: usize,
-    /// Bias (seeds the accumulator — no bus transfer needed).
-    pub bias: f32,
-    /// Weights in input-arrival order.
-    pub weights: Vec<f32>,
+    /// Multiply-adds (one per layer input; the bias seeds the
+    /// accumulator without a bus transfer).
+    pub macs: usize,
 }
 
 /// A complete static schedule: the bus program plus per-PE task lists.
@@ -77,11 +77,7 @@ pub struct NpuSchedule {
 impl NpuSchedule {
     /// Multiply-add operations per invocation.
     pub fn macs_per_invocation(&self) -> u64 {
-        self.pe_tasks
-            .iter()
-            .flatten()
-            .map(|t| t.weights.len() as u64)
-            .sum()
+        self.pe_tasks.iter().flatten().map(|t| t.macs as u64).sum()
     }
 
     /// Sigmoid evaluations per invocation.
@@ -92,11 +88,6 @@ impl NpuSchedule {
     /// Bus transfers per invocation.
     pub fn bus_transfers_per_invocation(&self) -> u64 {
         self.entries.len() as u64
-    }
-
-    /// The PE a neuron of `layer` is assigned to (round-robin).
-    pub fn pe_of(&self, neuron: usize) -> usize {
-        neuron % self.n_pes
     }
 }
 
@@ -130,7 +121,6 @@ impl Scheduler {
         assert!((1..=64).contains(&p), "PE count must be in 1..=64");
         let t = config.topology();
         let layers = t.layers();
-        let mlp = config.mlp();
 
         let mut entries = Vec::new();
         let mut pe_tasks: Vec<Vec<NeuronTask>> = vec![Vec::new(); p];
@@ -167,12 +157,10 @@ impl Scheduler {
                     if neuron >= n {
                         continue;
                     }
-                    let weights: Vec<f32> = (0..m).map(|i| mlp.weight(l, neuron, i)).collect();
                     pe_tasks[pe].push(NeuronTask {
                         layer: l,
                         neuron,
-                        bias: mlp.weight(l, neuron, m),
-                        weights,
+                        macs: m,
                     });
                 }
             }
@@ -227,7 +215,7 @@ impl Scheduler {
             self.params.bus_schedule,
         )?;
         for tasks in &schedule.pe_tasks {
-            let weights: usize = tasks.iter().map(|t| t.weights.len() + 1).sum();
+            let weights: usize = tasks.iter().map(|t| t.macs + 1).sum();
             check("weight cache", weights, self.params.weight_cache)?;
         }
         check("output register file", max_rounds, self.params.output_regs)?;
@@ -314,12 +302,7 @@ mod tests {
         let s = Scheduler::new(NpuParams::default())
             .schedule(&config)
             .unwrap();
-        let total_weights: usize = s
-            .pe_tasks
-            .iter()
-            .flatten()
-            .map(|t| t.weights.len() + 1)
-            .sum();
+        let total_weights: usize = s.pe_tasks.iter().flatten().map(|t| t.macs + 1).sum();
         assert_eq!(total_weights, config.topology().weight_count());
         // Each (layer, neuron) appears exactly once.
         let mut seen = std::collections::BTreeSet::new();

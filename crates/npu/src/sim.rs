@@ -1,9 +1,16 @@
 //! The cycle-accurate NPU model.
+//!
+//! The model tracks *when* things happen, never the values: the bus
+//! schedule is fixed at compile time (paper Section 6.2), so no cycle
+//! count depends on data. PE input FIFOs hold operand counts, computed
+//! neurons hold the cycle their result became readable, and the
+//! CPU-facing FIFOs are position counters. The values of an invocation
+//! come from [`NpuConfig::evaluate`] (or the batched
+//! [`BatchEvaluator`](crate::BatchEvaluator)).
 
 use crate::fifo::{InputFifo, OutputFifo};
 use crate::schedule::{BusDest, BusSource, NpuSchedule, Scheduler};
 use crate::{NpuConfig, NpuError, NpuParams, NpuStats};
-use ann::SigmoidLut;
 use std::collections::VecDeque;
 
 /// A sigmoid evaluation in flight inside a PE.
@@ -11,30 +18,18 @@ use std::collections::VecDeque;
 struct PendingSigmoid {
     layer: usize,
     neuron: usize,
-    sum: f32,
     ready_at: u64,
 }
 
 /// Per-PE execution state within one invocation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct PeRun {
-    in_fifo: VecDeque<f32>,
+    /// Operands waiting in the PE's input FIFO.
+    queued: usize,
     task_idx: usize,
-    weight_idx: usize,
-    acc: f32,
+    /// Multiply-adds done on the current task.
+    mac_idx: usize,
     pending: Option<PendingSigmoid>,
-}
-
-impl PeRun {
-    fn new() -> Self {
-        PeRun {
-            in_fifo: VecDeque::new(),
-            task_idx: 0,
-            weight_idx: 0,
-            acc: 0.0,
-            pending: None,
-        }
-    }
 }
 
 /// One in-flight network evaluation.
@@ -43,15 +38,15 @@ struct Invocation {
     bus_pc: usize,
     /// Cycle at which the invocation started (for latency accounting).
     start_cycle: u64,
-    /// Normalized inputs latched from the input FIFO (multi-round layers
-    /// re-read latched values instead of re-popping the FIFO).
-    latched_inputs: Vec<f32>,
     /// Absolute input-FIFO position where this invocation started reading.
     input_start: u64,
-    /// Raw FIFO entries consumed so far.
-    raw_reads: usize,
-    /// Computed neuron values per computing layer: `(value, ready_cycle)`.
-    layer_values: Vec<Vec<Option<(f32, u64)>>>,
+    /// Inputs read from the input FIFO and latched by the scaling unit
+    /// (multi-round layers re-read latched inputs instead of re-popping
+    /// the FIFO).
+    latched_inputs: usize,
+    /// Per computing layer, the cycle each neuron's result became
+    /// readable on the bus.
+    neuron_ready: Vec<Vec<Option<u64>>>,
     outputs_pushed: usize,
     pes: Vec<PeRun>,
 }
@@ -68,9 +63,7 @@ struct CompletedRecord {
 
 #[derive(Debug, Clone)]
 struct Configured {
-    config: NpuConfig,
     schedule: NpuSchedule,
-    encoded: Vec<u32>,
     inv: Option<Invocation>,
     history: VecDeque<CompletedRecord>,
 }
@@ -80,51 +73,33 @@ struct Configured {
 ///
 /// Drive it with [`tick`](Self::tick) (one cycle), feed it through the
 /// FIFO methods, and roll back misspeculation with [`squash`](Self::squash).
-/// The functional result of an invocation is bit-identical to
-/// [`NpuConfig::evaluate`] (accumulation order and LUT sigmoid match).
+/// It models timing and event counts only; [`NpuConfig::evaluate`] gives
+/// the values an invocation produces.
 #[derive(Debug)]
 pub struct NpuSim {
     params: NpuParams,
-    lut: SigmoidLut,
     state: Option<Configured>,
     input_fifo: InputFifo,
     output_fifo: OutputFifo,
-    /// Config words accumulated from `enq.c` until a full configuration
-    /// decodes.
-    cfg_accum: Vec<u32>,
-    /// Read position for `deq.c` context-switch readback.
-    readback_pos: usize,
     cycle: u64,
     stats: NpuStats,
     /// Per-invocation latency distribution in simulated cycles (squashed
     /// invocations are excluded — they never complete architecturally).
     invocation_hist: telemetry::Histogram,
-    /// xorshift64* state for deterministic fault injection.
-    fault_rng: u64,
 }
 
 impl NpuSim {
     /// Creates an unconfigured NPU.
     pub fn new(params: NpuParams) -> Self {
-        let lut = SigmoidLut::new(params.sigmoid_lut.max(2), 8.0);
         NpuSim {
             input_fifo: InputFifo::new(params.input_fifo),
             output_fifo: OutputFifo::new(params.output_fifo),
-            lut,
             state: None,
-            cfg_accum: Vec::new(),
-            readback_pos: 0,
             cycle: 0,
             stats: NpuStats::default(),
             invocation_hist: telemetry::Histogram::default(),
-            fault_rng: params.fault_seed | 1,
             params,
         }
-    }
-
-    /// The hardware parameters.
-    pub fn params(&self) -> &NpuParams {
-        &self.params
     }
 
     /// Current cycle count.
@@ -152,100 +127,22 @@ impl NpuSim {
         self.state.as_ref().is_some_and(|s| s.inv.is_some()) || self.input_fifo.readable()
     }
 
-    // ------------------------------------------------------------------
-    // Configuration path
-    // ------------------------------------------------------------------
-
-    /// Loads a configuration directly (the compiler-side shortcut; the ISA
-    /// path is [`enq_config_word`](Self::enq_config_word)).
+    /// Loads a configuration, charging the `enq.c` words that ship it to
+    /// [`NpuStats::config_words`]. The ISA word path itself (accumulate,
+    /// decode, readback on a context switch) is the functional runtime's.
     ///
     /// # Errors
     ///
     /// Returns a scheduling error if the network does not fit the hardware.
     pub fn configure(&mut self, config: &NpuConfig) -> Result<(), NpuError> {
         let schedule = Scheduler::new(self.params.clone()).schedule(config)?;
-        let encoded = config.encode();
-        self.stats.config_words += encoded.len() as u64;
+        self.stats.config_words += config.encoded_len() as u64;
         self.state = Some(Configured {
-            config: config.clone(),
             schedule,
-            encoded,
             inv: None,
             history: VecDeque::new(),
         });
-        self.readback_pos = 0;
         Ok(())
-    }
-
-    /// Absorbs one configuration word from `enq.c`. When the accumulated
-    /// stream forms a complete configuration, the NPU reconfigures itself.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NpuError::InvalidConfig`] as soon as the stream is
-    /// provably malformed, or a capacity error once complete.
-    pub fn enq_config_word(&mut self, word: u32) -> Result<(), NpuError> {
-        self.cfg_accum.push(word);
-        self.stats.config_words += 1;
-        if let Some(expected) = Self::expected_config_len(&self.cfg_accum)? {
-            if self.cfg_accum.len() == expected {
-                let words = std::mem::take(&mut self.cfg_accum);
-                let config = NpuConfig::decode(&words)?;
-                let schedule = Scheduler::new(self.params.clone()).schedule(&config)?;
-                self.state = Some(Configured {
-                    config,
-                    schedule,
-                    encoded: words,
-                    inv: None,
-                    history: VecDeque::new(),
-                });
-                self.readback_pos = 0;
-            }
-        }
-        Ok(())
-    }
-
-    /// Total words of a configuration stream once its header is visible.
-    fn expected_config_len(words: &[u32]) -> Result<Option<usize>, NpuError> {
-        NpuConfig::stream_len(words)
-    }
-
-    /// Reads back one configuration word (`deq.c`), used by the OS to save
-    /// NPU state on a context switch. Words stream out in the same order
-    /// `enq.c` would write them; after the full configuration is read the
-    /// position wraps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NpuError::NotConfigured`] when nothing is loaded.
-    pub fn deq_config_word(&mut self) -> Result<u32, NpuError> {
-        let state = self.state.as_ref().ok_or(NpuError::NotConfigured)?;
-        let word = state.encoded[self.readback_pos];
-        self.readback_pos = (self.readback_pos + 1) % state.encoded.len();
-        Ok(word)
-    }
-
-    /// Number of words [`deq_config_word`](Self::deq_config_word) yields
-    /// per full readback.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NpuError::NotConfigured`] when nothing is loaded.
-    pub fn config_len(&self) -> Result<usize, NpuError> {
-        self.state
-            .as_ref()
-            .map(|s| s.encoded.len())
-            .ok_or(NpuError::NotConfigured)
-    }
-
-    /// The loaded configuration, if any.
-    pub fn current_config(&self) -> Option<&NpuConfig> {
-        self.state.as_ref().map(|s| &s.config)
-    }
-
-    /// The compiled schedule, if configured.
-    pub fn schedule(&self) -> Option<&NpuSchedule> {
-        self.state.as_ref().map(|s| &s.schedule)
     }
 
     // ------------------------------------------------------------------
@@ -268,20 +165,15 @@ impl NpuSim {
         self.params.input_fifo
     }
 
-    /// Current output FIFO occupancy.
-    pub fn output_fifo_len(&self) -> usize {
-        self.output_fifo.len()
-    }
-
-    /// Speculatively enqueues an input value (at `enq.d` execute).
+    /// Speculatively enqueues an input (at `enq.d` execute).
     ///
     /// # Panics
     ///
     /// Panics if the FIFO is full — the issue logic must check
     /// [`input_has_space`](Self::input_has_space) first.
-    pub fn enqueue_input(&mut self, value: f32) {
+    pub fn enqueue_input(&mut self) {
         self.input_fifo
-            .push_spec(value)
+            .push_spec()
             .expect("enq.d issued with full input fifo");
     }
 
@@ -304,10 +196,11 @@ impl NpuSim {
     ///
     /// Panics if no output is available — check
     /// [`output_available`](Self::output_available) first.
-    pub fn dequeue_output(&mut self) -> f32 {
-        self.output_fifo
-            .pop_spec()
-            .expect("deq.d issued with empty output fifo")
+    pub fn dequeue_output(&mut self) {
+        assert!(
+            self.output_fifo.pop_spec(),
+            "deq.d issued with empty output fifo"
+        );
     }
 
     /// Notifies the NPU that `n` `deq.d` instructions committed.
@@ -351,7 +244,7 @@ impl NpuSim {
             }
             // Reset the in-flight invocation if it read invalidated inputs.
             if let Some(inv) = &state.inv {
-                let inv_end = inv.input_start + inv.raw_reads as u64;
+                let inv_end = inv.input_start + inv.latched_inputs as u64;
                 if inv_end > new_pushed {
                     self.output_fifo.invalidate_tail(inv.outputs_pushed);
                     self.input_fifo.rewind_to(inv.input_start);
@@ -388,19 +281,17 @@ impl NpuSim {
         };
         // Start a new invocation when input data arrives.
         if state.inv.is_none() && self.input_fifo.readable() {
-            let n_pes = state.schedule.n_pes;
             state.inv = Some(Invocation {
                 bus_pc: 0,
                 start_cycle: self.cycle,
-                latched_inputs: Vec::new(),
                 input_start: self.input_fifo.consumed(),
-                raw_reads: 0,
-                layer_values: state.schedule.layer_sizes[1..]
+                latched_inputs: 0,
+                neuron_ready: state.schedule.layer_sizes[1..]
                     .iter()
                     .map(|&n| vec![None; n])
                     .collect(),
                 outputs_pushed: 0,
-                pes: (0..n_pes).map(|_| PeRun::new()).collect(),
+                pes: vec![PeRun::default(); state.schedule.n_pes],
             });
         }
         let Some(inv) = &mut state.inv else {
@@ -410,125 +301,96 @@ impl NpuSim {
         let now = self.cycle;
 
         // --- PE phase: resolve sigmoid results, then one MAC per PE. ---
-        for (pe_idx, pe) in inv.pes.iter_mut().enumerate() {
+        for (pe, tasks) in inv.pes.iter_mut().zip(&state.schedule.pe_tasks) {
             if let Some(p) = pe.pending {
                 if p.ready_at <= now {
-                    let y = self.lut.eval(p.sum);
-                    inv.layer_values[p.layer][p.neuron] = Some((y, now));
+                    inv.neuron_ready[p.layer][p.neuron] = Some(now);
                     self.stats.sigmoids += 1;
                     pe.pending = None;
                 }
             }
-            let tasks = &state.schedule.pe_tasks[pe_idx];
-            if pe.task_idx < tasks.len() {
-                let task = &tasks[pe.task_idx];
-                let completing = pe.weight_idx + 1 == task.weights.len();
-                // The single sigmoid unit must be free to accept a new sum.
-                let blocked = completing && pe.pending.is_some();
-                if !blocked {
-                    if let Some(x) = pe.in_fifo.front().copied() {
-                        if pe.weight_idx == 0 {
-                            pe.acc = task.bias;
-                        }
-                        pe.in_fifo.pop_front();
-                        let mut w = task.weights[pe.weight_idx];
-                        let rate = self.params.weight_fault_rate;
-                        if rate > 0.0 {
-                            // xorshift64*: deterministic, dependency-free.
-                            self.fault_rng ^= self.fault_rng << 13;
-                            self.fault_rng ^= self.fault_rng >> 7;
-                            self.fault_rng ^= self.fault_rng << 17;
-                            let draw = (self.fault_rng >> 11) as f64 / (1u64 << 53) as f64;
-                            if draw < rate {
-                                let bit = (self.fault_rng % 32) as u32;
-                                w = f32::from_bits(w.to_bits() ^ (1 << bit));
-                                self.stats.faults_injected += 1;
-                            }
-                        }
-                        pe.acc += w * x;
-                        pe.weight_idx += 1;
-                        self.stats.macs += 1;
-                        self.stats.weight_reads += 1;
-                        if pe.weight_idx == task.weights.len() {
-                            pe.pending = Some(PendingSigmoid {
-                                layer: task.layer,
-                                neuron: task.neuron,
-                                sum: pe.acc,
-                                ready_at: now + 1,
-                            });
-                            pe.task_idx += 1;
-                            pe.weight_idx = 0;
-                        }
-                    }
-                }
+            let Some(task) = tasks.get(pe.task_idx) else {
+                continue;
+            };
+            // The single sigmoid unit must be free to accept a new sum.
+            let completing = pe.mac_idx + 1 == task.macs;
+            if pe.queued == 0 || (completing && pe.pending.is_some()) {
+                continue;
+            }
+            pe.queued -= 1;
+            pe.mac_idx += 1;
+            self.stats.macs += 1;
+            self.stats.weight_reads += 1;
+            if completing {
+                pe.pending = Some(PendingSigmoid {
+                    layer: task.layer,
+                    neuron: task.neuron,
+                    ready_at: now + 1,
+                });
+                pe.task_idx += 1;
+                pe.mac_idx = 0;
             }
         }
 
         // --- Bus phase: at most one scheduled transfer per cycle. ---
-        if inv.bus_pc < state.schedule.entries.len() {
-            let entry = state.schedule.entries[inv.bus_pc];
+        if let Some(&entry) = state.schedule.entries.get(inv.bus_pc) {
             // Destination readiness first (so we never consume a source
             // value and then stall).
             let dest_ready = match entry.dest {
-                BusDest::Pes(mask) => (0..state.schedule.n_pes).all(|pe| {
-                    mask & (1 << pe) == 0 || inv.pes[pe].in_fifo.len() < self.params.pe_input_fifo
+                BusDest::Pes(mask) => inv.pes.iter().enumerate().all(|(pe, run)| {
+                    mask & (1 << pe) == 0 || run.queued < self.params.pe_input_fifo
                 }),
                 BusDest::OutputFifo => self.output_fifo.has_space(),
             };
-            if dest_ready {
-                let value = match entry.src {
+            let transfers = dest_ready
+                && match entry.src {
                     BusSource::InputFifo { index } => {
-                        if index < inv.latched_inputs.len() {
-                            Some(inv.latched_inputs[index])
-                        } else if let Some(raw) = self.input_fifo.read_next() {
-                            debug_assert_eq!(index, inv.latched_inputs.len());
-                            let norm = state.config.input_norm().normalize_one(index, raw);
-                            inv.latched_inputs.push(norm);
-                            inv.raw_reads += 1;
+                        if index < inv.latched_inputs {
+                            true
+                        } else if self.input_fifo.read_next() {
+                            debug_assert_eq!(index, inv.latched_inputs);
+                            inv.latched_inputs += 1;
                             self.stats.input_reads += 1;
-                            Some(norm)
+                            true
                         } else {
-                            None
+                            false
                         }
                     }
-                    BusSource::Neuron { layer, index } => inv.layer_values[layer][index]
-                        .filter(|&(_, at)| at <= now)
-                        .map(|(v, _)| v),
+                    BusSource::Neuron { layer, index } => {
+                        inv.neuron_ready[layer][index].is_some_and(|at| at <= now)
+                    }
                 };
-                if let Some(v) = value {
-                    match entry.dest {
-                        BusDest::Pes(mask) => {
-                            for pe in 0..state.schedule.n_pes {
-                                if mask & (1 << pe) != 0 {
-                                    inv.pes[pe].in_fifo.push_back(v);
-                                }
+            if transfers {
+                match entry.dest {
+                    BusDest::Pes(mask) => {
+                        for (pe, run) in inv.pes.iter_mut().enumerate() {
+                            if mask & (1 << pe) != 0 {
+                                run.queued += 1;
                             }
                         }
-                        BusDest::OutputFifo => {
-                            let denorm = state
-                                .config
-                                .output_norm()
-                                .denormalize_one(inv.outputs_pushed, v);
-                            self.output_fifo.push(denorm).expect("space checked above");
-                            inv.outputs_pushed += 1;
-                            self.stats.outputs_produced += 1;
-                        }
                     }
-                    inv.bus_pc += 1;
-                    self.stats.bus_transfers += 1;
+                    BusDest::OutputFifo => {
+                        self.output_fifo.push().expect("space checked above");
+                        inv.outputs_pushed += 1;
+                        self.stats.outputs_produced += 1;
+                    }
                 }
+                inv.bus_pc += 1;
+                self.stats.bus_transfers += 1;
             }
         }
 
         // --- Completion. ---
         let done = inv.bus_pc == state.schedule.entries.len()
-            && inv.pes.iter().enumerate().all(|(i, pe)| {
-                pe.task_idx == state.schedule.pe_tasks[i].len() && pe.pending.is_none()
-            });
+            && inv
+                .pes
+                .iter()
+                .zip(&state.schedule.pe_tasks)
+                .all(|(pe, tasks)| pe.task_idx == tasks.len() && pe.pending.is_none());
         if done {
-            let raw_reads = inv.raw_reads;
+            let latched = inv.latched_inputs;
+            let input_end = inv.input_start + latched as u64;
             let outputs = inv.outputs_pushed;
-            let input_end = inv.input_start + raw_reads as u64;
             // Latency in simulated cycles, inclusive of the start cycle —
             // deterministic, so it may feed per-benchmark reports.
             let latency = self.cycle - inv.start_cycle + 1;
@@ -536,7 +398,7 @@ impl NpuSim {
             state
                 .history
                 .push_back(CompletedRecord { input_end, outputs });
-            self.input_fifo.mark_processed(raw_reads);
+            self.input_fifo.mark_processed(latched);
             self.stats.invocations += 1;
             self.invocation_hist.observe(latency as f64);
             if telemetry::enabled(telemetry::Level::Trace) {
@@ -549,7 +411,7 @@ impl NpuSim {
     }
 
     /// Runs until the NPU is idle (no in-flight invocation and no readable
-    /// input). Useful for functional evaluation and latency measurement.
+    /// input). Useful for latency measurement.
     ///
     /// # Panics
     ///
@@ -566,97 +428,6 @@ impl NpuSim {
             } else {
                 stall = 0;
             }
-        }
-    }
-
-    /// Runs until at least one output is available, then speculatively
-    /// dequeues and commits it. Returns `None` if the NPU goes idle
-    /// without producing output.
-    pub fn run_until_output(&mut self) -> Option<f32> {
-        let mut stall = 0u32;
-        while !self.output_fifo.available() {
-            if !self.busy() {
-                return None;
-            }
-            let before = self.stats.bus_transfers;
-            self.tick();
-            if self.stats.bus_transfers == before {
-                stall += 1;
-                if stall > 1_000_000 {
-                    return None;
-                }
-            } else {
-                stall = 0;
-            }
-        }
-        let v = self.output_fifo.pop_spec();
-        if v.is_some() {
-            self.output_fifo.commit_pop();
-        }
-        v
-    }
-
-    /// Convenience: evaluates one full invocation functionally (enqueue all
-    /// inputs committed, run, collect all outputs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NpuError::NotConfigured`] when no configuration is loaded.
-    pub fn evaluate_invocation(&mut self, inputs: &[f32]) -> Result<Vec<f32>, NpuError> {
-        let n_out = self
-            .state
-            .as_ref()
-            .ok_or(NpuError::NotConfigured)?
-            .config
-            .topology()
-            .outputs();
-        for &v in inputs {
-            self.enqueue_input(v);
-        }
-        self.commit_inputs(inputs.len());
-        let mut out = Vec::with_capacity(n_out);
-        for _ in 0..n_out {
-            match self.run_until_output() {
-                Some(v) => out.push(v),
-                None => return Err(NpuError::FifoEmpty("output")),
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// Streaming timing replay: drives the cycle model directly from a dynamic
-/// trace, so sweep pipelines can push events into the NPU as the
-/// interpreter produces them instead of materialising a `Vec<TraceEvent>`.
-///
-/// Trace events carry no data values, but NPU *timing* is data-independent
-/// (every invocation walks the same static bus schedule), so the replay
-/// enqueues a placeholder input per `enq.d` and still reproduces the exact
-/// cycle counts of the original run. Non-queue events advance the NPU by
-/// one cycle, modelling the concurrent CPU/NPU execution the paper's
-/// integration assumes (Section 5.1).
-impl approx_ir::TraceSink for NpuSim {
-    fn event(&mut self, ev: &approx_ir::TraceEvent) {
-        use approx_ir::OpClass;
-        match ev.class {
-            OpClass::NpuEnqD => {
-                if self.configured() {
-                    let mut stall = 0u32;
-                    while !self.input_has_space() {
-                        self.tick();
-                        stall += 1;
-                        assert!(stall < 1_000_000, "npu deadlock: input fifo never drains");
-                    }
-                    self.enqueue_input(0.5);
-                    self.commit_inputs(1);
-                } else {
-                    self.tick();
-                }
-            }
-            OpClass::NpuDeqD => {
-                self.run_until_output();
-            }
-            _ => self.tick(),
         }
     }
 }
@@ -676,39 +447,63 @@ mod tests {
         )
     }
 
+    fn configured(config: &NpuConfig) -> NpuSim {
+        let mut sim = NpuSim::new(NpuParams::default());
+        sim.configure(config).unwrap();
+        sim
+    }
+
+    /// One full invocation through the FIFO protocol: enqueue and commit
+    /// `config`'s inputs, run to idle, dequeue and commit its outputs.
+    fn invoke(sim: &mut NpuSim, config: &NpuConfig) {
+        let (n_in, n_out) = (config.topology().inputs(), config.topology().outputs());
+        for _ in 0..n_in {
+            sim.enqueue_input();
+        }
+        sim.commit_inputs(n_in);
+        sim.run_until_idle();
+        for _ in 0..n_out {
+            sim.dequeue_output();
+        }
+        sim.commit_outputs(n_out);
+    }
+
     #[test]
-    fn sim_matches_functional_evaluation() {
+    fn invocation_counts_match_schedule() {
         for layers in [
             vec![2, 4, 1],
             vec![9, 8, 1],
             vec![3, 8, 4, 2],
             vec![6, 8, 4, 1],
+            vec![4, 16, 1],
         ] {
             let config = config_for(layers.clone(), 9);
-            let mut sim = NpuSim::new(NpuParams::default());
-            sim.configure(&config).unwrap();
-            let inputs: Vec<f32> = (0..config.topology().inputs())
-                .map(|i| (i as f32 * 0.17) % 1.0)
-                .collect();
-            let got = sim.evaluate_invocation(&inputs).unwrap();
-            let want = config.evaluate(&inputs);
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g - w).abs() < 1e-6, "{layers:?}: {g} vs {w}");
-            }
+            let schedule = Scheduler::new(NpuParams::default())
+                .schedule(&config)
+                .unwrap();
+            let mut sim = configured(&config);
+            invoke(&mut sim, &config);
+            let s = sim.stats();
+            assert_eq!(s.macs, schedule.macs_per_invocation(), "{layers:?}");
+            assert_eq!(s.weight_reads, s.macs, "{layers:?}");
+            assert_eq!(s.sigmoids, schedule.sigmoids_per_invocation(), "{layers:?}");
+            assert_eq!(
+                s.bus_transfers,
+                schedule.bus_transfers_per_invocation(),
+                "{layers:?}"
+            );
+            assert_eq!(s.input_reads, config.topology().inputs() as u64);
+            assert_eq!(s.outputs_produced, config.topology().outputs() as u64);
+            assert_eq!(s.invocations, 1);
         }
     }
 
     #[test]
     fn back_to_back_invocations_work() {
         let config = config_for(vec![2, 4, 1], 3);
-        let mut sim = NpuSim::new(NpuParams::default());
-        sim.configure(&config).unwrap();
-        for k in 0..5 {
-            let inputs = [0.1 * k as f32, 0.9 - 0.1 * k as f32];
-            let got = sim.evaluate_invocation(&inputs).unwrap();
-            let want = config.evaluate(&inputs);
-            assert!((got[0] - want[0]).abs() < 1e-6);
+        let mut sim = configured(&config);
+        for _ in 0..5 {
+            invoke(&mut sim, &config);
         }
         assert_eq!(sim.stats().invocations, 5);
         let hist = sim.invocation_cycles();
@@ -724,193 +519,110 @@ mod tests {
     }
 
     #[test]
-    fn trace_sink_replay_matches_real_invocation_timing() {
-        use approx_ir::{OpClass, TraceEvent, TraceSink};
-
-        let config = config_for(vec![9, 8, 1], 4);
-        let (n_in, n_out) = (config.topology().inputs(), config.topology().outputs());
-
-        // Reference: real data through the FIFO protocol.
-        let mut real = NpuSim::new(NpuParams::default());
-        real.configure(&config).unwrap();
-        for k in 0..3 {
-            let inputs: Vec<f32> = (0..n_in).map(|i| ((i + k) as f32 * 0.11) % 1.0).collect();
-            real.evaluate_invocation(&inputs).unwrap();
-        }
-
-        // Replay: the same invocation shape as anonymous trace events.
-        let mut replay = NpuSim::new(NpuParams::default());
-        replay.configure(&config).unwrap();
-        for _ in 0..3 {
-            for _ in 0..n_in {
-                replay.event(&TraceEvent::simple(0, OpClass::NpuEnqD, [None; 3], None));
-            }
-            for _ in 0..n_out {
-                replay.event(&TraceEvent::simple(0, OpClass::NpuDeqD, [None; 3], None));
-            }
-        }
-
-        // NPU timing is data-independent: identical invocation cycle counts.
-        assert_eq!(replay.stats().invocations, real.stats().invocations);
-        assert_eq!(replay.stats().macs, real.stats().macs);
-        assert_eq!(
-            replay.stats().active_cycles,
-            real.stats().active_cycles,
-            "replay timing diverged from the data-carrying run"
-        );
-    }
-
-    #[test]
-    fn trace_sink_ignores_npu_ops_when_unconfigured() {
-        use approx_ir::{OpClass, TraceEvent, TraceSink};
-        let mut sim = NpuSim::new(NpuParams::default());
-        sim.event(&TraceEvent::simple(0, OpClass::NpuEnqD, [None; 3], None));
-        sim.event(&TraceEvent::simple(0, OpClass::NpuDeqD, [None; 3], None));
-        sim.event(&TraceEvent::simple(0, OpClass::IntAlu, [None; 3], None));
-        assert_eq!(sim.stats().invocations, 0);
-    }
-
-    #[test]
     fn config_word_stream_configures() {
-        let config = config_for(vec![2, 2, 1], 5);
-        let mut sim = NpuSim::new(NpuParams::default());
-        for w in config.encode() {
-            sim.enq_config_word(w).unwrap();
-        }
-        assert!(sim.configured());
-        let got = sim.evaluate_invocation(&[0.5, 0.25]).unwrap();
-        let want = config.evaluate(&[0.5, 0.25]);
-        assert!((got[0] - want[0]).abs() < 1e-6);
-    }
-
-    #[test]
-    fn config_readback_round_trips() {
         let config = config_for(vec![3, 4, 2], 8);
         let mut sim = NpuSim::new(NpuParams::default());
+        assert!(!sim.configured());
         sim.configure(&config).unwrap();
-        // OS context-switch save: deq.c the whole configuration…
-        let n = sim.config_len().unwrap();
-        let words: Vec<u32> = (0..n).map(|_| sim.deq_config_word().unwrap()).collect();
-        // …and restore it into a different NPU.
-        let mut other = NpuSim::new(NpuParams::default());
-        for w in words {
-            other.enq_config_word(w).unwrap();
-        }
-        assert_eq!(other.current_config(), Some(&config));
-    }
-
-    #[test]
-    fn bad_config_stream_is_rejected_early() {
-        let mut sim = NpuSim::new(NpuParams::default());
-        assert!(matches!(
-            sim.enq_config_word(0x1234_5678),
-            Err(NpuError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn normalization_applied_in_hardware_path() {
-        let t = Topology::new(vec![1, 2, 1]).unwrap();
-        let config = NpuConfig::new(
-            Mlp::seeded(t, 4),
-            Normalizer::new(vec![(0.0, 10.0)]),
-            Normalizer::new(vec![(100.0, 200.0)]),
-        );
-        let mut sim = NpuSim::new(NpuParams::default());
+        assert!(sim.configured());
+        assert_eq!(sim.stats().config_words, config.encoded_len() as u64);
+        // A context-switch restore ships the whole stream again.
         sim.configure(&config).unwrap();
-        let got = sim.evaluate_invocation(&[7.0]).unwrap();
-        let want = config.evaluate(&[7.0]);
-        assert!((got[0] - want[0]).abs() < 1e-4);
-        assert!(got[0] >= 100.0 && got[0] <= 200.0);
+        assert_eq!(sim.stats().config_words, 2 * config.encoded_len() as u64);
     }
 
     #[test]
     fn squash_of_unread_inputs_is_invisible() {
         let config = config_for(vec![2, 2, 1], 6);
-        let mut sim = NpuSim::new(NpuParams::default());
-        sim.configure(&config).unwrap();
+        let mut sim = configured(&config);
         // Complete a clean invocation first.
-        let clean = sim.evaluate_invocation(&[0.2, 0.8]).unwrap();
-        // Speculatively push garbage, then squash before the NPU runs.
-        sim.enqueue_input(9.9);
+        invoke(&mut sim, &config);
+        // Speculatively push an input, then squash it before the NPU runs.
+        sim.enqueue_input();
         sim.squash(1, 0);
-        // A fresh committed invocation still computes correctly.
-        let again = sim.evaluate_invocation(&[0.2, 0.8]).unwrap();
-        assert_eq!(clean, again);
+        // A fresh committed invocation takes exactly as long as the first.
+        invoke(&mut sim, &config);
+        let s = sim.stats();
+        assert_eq!(s.squashed_invocations, 0);
+        assert_eq!(s.invocations, 2);
+        assert_eq!(s.input_reads, 4);
+        let hist = sim.invocation_cycles();
+        assert_eq!(hist.min, hist.max);
     }
 
     #[test]
     fn squash_mid_invocation_resets_and_replays() {
         let config = config_for(vec![2, 2, 1], 6);
-        let mut sim = NpuSim::new(NpuParams::default());
-        sim.configure(&config).unwrap();
+        let mut sim = configured(&config);
         // Commit the first input, speculate the second.
-        sim.enqueue_input(0.3);
+        sim.enqueue_input();
         sim.commit_inputs(1);
-        sim.enqueue_input(0.7);
+        sim.enqueue_input();
         // Let the NPU consume both inputs.
         for _ in 0..4 {
             sim.tick();
         }
+        assert_eq!(sim.stats().input_reads, 2);
         // Misspeculation: the second enq.d is squashed.
         sim.squash(1, 0);
         assert_eq!(sim.stats().squashed_invocations, 1);
-        // The correct-path value arrives and commits.
-        sim.enqueue_input(0.4);
+        assert!(!sim.output_available());
+        // The correct-path input arrives and commits; the invocation
+        // re-reads the surviving first input and completes.
+        sim.enqueue_input();
         sim.commit_inputs(1);
-        let mut out = Vec::new();
-        while out.is_empty() {
-            if let Some(v) = sim.run_until_output() {
-                out.push(v);
-            }
-        }
-        let want = config.evaluate(&[0.3, 0.4]);
-        assert!((out[0] - want[0]).abs() < 1e-6, "{} vs {}", out[0], want[0]);
+        sim.run_until_idle();
+        let s = sim.stats();
+        assert_eq!(s.input_reads, 4);
+        assert_eq!(s.invocations, 1);
+        assert_eq!(s.outputs_produced, 1);
+        assert!(sim.output_available());
     }
 
     #[test]
     fn squash_after_speculative_completion_invalidates_outputs() {
         let config = config_for(vec![2, 2, 1], 6);
-        let mut sim = NpuSim::new(NpuParams::default());
-        sim.configure(&config).unwrap();
+        let mut sim = configured(&config);
         // Entire invocation runs on speculative inputs.
-        sim.enqueue_input(0.5);
-        sim.enqueue_input(0.5);
+        sim.enqueue_input();
+        sim.enqueue_input();
         sim.run_until_idle();
         assert!(sim.output_available());
         // Both enq.d squashed: the output must disappear.
         sim.squash(2, 0);
         assert!(!sim.output_available());
+        assert_eq!(sim.stats().squashed_invocations, 1);
         // Correct path proceeds normally.
-        let got = sim.evaluate_invocation(&[0.1, 0.9]).unwrap();
-        let want = config.evaluate(&[0.1, 0.9]);
-        assert!((got[0] - want[0]).abs() < 1e-6);
+        invoke(&mut sim, &config);
+        assert_eq!(sim.stats().invocations, 2);
+        assert!(!sim.output_available());
     }
 
     #[test]
     fn speculative_output_read_replay_via_squash() {
         let config = config_for(vec![1, 2, 2], 2);
-        let mut sim = NpuSim::new(NpuParams::default());
-        sim.configure(&config).unwrap();
-        sim.enqueue_input(0.5);
+        let mut sim = configured(&config);
+        sim.enqueue_input();
         sim.commit_inputs(1);
         sim.run_until_idle();
-        let first = sim.dequeue_output();
-        let second = sim.dequeue_output();
-        // Both deq.d squashed (e.g. older branch mispredicted).
+        sim.dequeue_output();
+        sim.dequeue_output();
+        assert!(!sim.output_available());
+        // Both deq.d squashed (e.g. older branch mispredicted): the
+        // outputs are still there to be read again.
         sim.squash(0, 2);
-        assert_eq!(sim.dequeue_output(), first);
-        assert_eq!(sim.dequeue_output(), second);
+        assert!(sim.output_available());
+        sim.dequeue_output();
+        sim.dequeue_output();
         sim.commit_outputs(2);
+        assert!(!sim.output_available());
     }
 
     #[test]
     fn stats_count_events() {
         let config = config_for(vec![9, 8, 1], 1);
-        let mut sim = NpuSim::new(NpuParams::default());
-        sim.configure(&config).unwrap();
-        let inputs = [0.1; 9];
-        sim.evaluate_invocation(&inputs).unwrap();
+        let mut sim = configured(&config);
+        invoke(&mut sim, &config);
         let s = sim.stats();
         assert_eq!(s.macs, (9 * 8 + 8) as u64);
         assert_eq!(s.sigmoids, 9);
@@ -918,88 +630,90 @@ mod tests {
         assert_eq!(s.input_reads, 9);
         assert_eq!(s.outputs_produced, 1);
         assert_eq!(s.invocations, 1);
+        assert_eq!(s.faults_injected, 0);
     }
 
     #[test]
-    fn unconfigured_npu_reports_errors() {
-        let mut sim = NpuSim::new(NpuParams::default());
-        assert!(matches!(sim.config_len(), Err(NpuError::NotConfigured)));
-        assert!(matches!(
-            sim.deq_config_word(),
-            Err(NpuError::NotConfigured)
-        ));
-        assert!(matches!(
-            sim.evaluate_invocation(&[1.0]),
-            Err(NpuError::NotConfigured)
-        ));
-    }
-}
-
-#[cfg(test)]
-mod fault_tests {
-    use super::*;
-    use ann::{Mlp, Normalizer, Topology};
-
-    fn config() -> NpuConfig {
-        let t = Topology::new(vec![4, 8, 2]).unwrap();
-        NpuConfig::new(
-            Mlp::seeded(t, 11),
-            Normalizer::identity(4),
-            Normalizer::identity(2),
-        )
-    }
-
-    #[test]
-    fn zero_fault_rate_injects_nothing() {
-        let mut sim = NpuSim::new(NpuParams::default());
-        sim.configure(&config()).unwrap();
-        sim.evaluate_invocation(&[0.1, 0.2, 0.3, 0.4]).unwrap();
-        assert_eq!(sim.stats().faults_injected, 0);
-    }
-
-    #[test]
-    fn full_fault_rate_corrupts_every_weight_read() {
-        let mut sim = NpuSim::new(NpuParams::default().with_fault_rate(1.0));
-        sim.configure(&config()).unwrap();
-        sim.evaluate_invocation(&[0.1, 0.2, 0.3, 0.4]).unwrap();
-        let s = sim.stats();
-        assert_eq!(s.faults_injected, s.macs);
-    }
-
-    #[test]
-    fn fault_injection_is_deterministic() {
-        let run = |seed: u64| {
-            let params = NpuParams {
-                fault_seed: seed,
-                ..NpuParams::default().with_fault_rate(0.05)
-            };
-            let mut sim = NpuSim::new(params);
-            sim.configure(&config()).unwrap();
-            sim.evaluate_invocation(&[0.1, 0.2, 0.3, 0.4]).unwrap()
-        };
-        assert_eq!(run(7), run(7));
-    }
-
-    #[test]
-    fn rare_faults_leave_most_invocations_intact() {
-        // The paper's related work (Temam) argues hardware neural networks
-        // degrade gracefully under defects; with a low fault rate most
-        // outputs stay close to the fault-free values.
-        let cfg = config();
-        let mut clean = NpuSim::new(NpuParams::default());
-        clean.configure(&cfg).unwrap();
-        let mut faulty = NpuSim::new(NpuParams::default().with_fault_rate(0.001));
-        faulty.configure(&cfg).unwrap();
-        let mut close = 0;
-        let n = 100;
-        for k in 0..n {
-            let x = [0.01 * k as f32, 0.5, 1.0 - 0.01 * k as f32, 0.25];
-            let a = clean.evaluate_invocation(&x).unwrap();
-            let b = faulty.evaluate_invocation(&x).unwrap();
-            if a.iter().zip(&b).all(|(p, q)| (p - q).abs() < 0.05) {
-                close += 1;
-            }
+    fn queued_invocations_run_back_to_back() {
+        let config = config_for(vec![3, 8, 2], 4);
+        let mut sim = configured(&config);
+        for _ in 0..3 * 3 {
+            sim.enqueue_input();
         }
-        assert!(close >= 85, "only {close}/{n} invocations unaffected");
+        sim.commit_inputs(3 * 3);
+        sim.run_until_idle();
+        let hist = sim.invocation_cycles();
+        assert_eq!(hist.count, 3);
+        assert_eq!(hist.min, hist.max);
+        // Each invocation starts the cycle after its predecessor ends.
+        assert_eq!(sim.stats().active_cycles as f64, 3.0 * hist.max);
+    }
+
+    #[test]
+    fn speculative_inputs_hold_fifo_space_until_commit() {
+        let config = config_for(vec![2, 2, 1], 6);
+        let params = NpuParams {
+            input_fifo: 2,
+            ..NpuParams::default()
+        };
+        let mut sim = NpuSim::new(params);
+        sim.configure(&config).unwrap();
+        sim.enqueue_input();
+        sim.enqueue_input();
+        assert!(!sim.input_has_space());
+        // The NPU may compute on speculative inputs, but their entries
+        // are recycled only once their enq.d commits.
+        sim.run_until_idle();
+        assert_eq!(sim.stats().invocations, 1);
+        assert_eq!(sim.input_fifo_len(), 2);
+        sim.commit_inputs(2);
+        assert_eq!(sim.input_fifo_len(), 0);
+        assert!(sim.input_has_space());
+    }
+
+    #[test]
+    fn full_output_fifo_stalls_the_drain_until_dequeued() {
+        let config = config_for(vec![2, 2, 1], 6);
+        let params = NpuParams {
+            output_fifo: 1,
+            ..NpuParams::default()
+        };
+        let mut sim = NpuSim::new(params);
+        sim.configure(&config).unwrap();
+        for _ in 0..4 {
+            sim.enqueue_input();
+        }
+        sim.commit_inputs(4);
+        for _ in 0..1000 {
+            sim.tick();
+        }
+        // The first output fills the FIFO; the second invocation computes
+        // but cannot drain its output.
+        assert_eq!(sim.stats().invocations, 1);
+        assert_eq!(sim.stats().outputs_produced, 1);
+        assert!(sim.busy());
+        sim.dequeue_output();
+        sim.commit_outputs(1);
+        sim.run_until_idle();
+        assert_eq!(sim.stats().invocations, 2);
+        assert!(sim.output_available());
+    }
+
+    #[test]
+    fn unconfigured_npu_only_counts_cycles() {
+        let mut sim = NpuSim::new(NpuParams::default());
+        for _ in 0..10 {
+            sim.tick();
+        }
+        let s = sim.stats();
+        assert_eq!((s.total_cycles, s.active_cycles, s.invocations), (10, 0, 0));
+        assert!(!sim.busy());
+        // A network the hardware cannot hold is refused.
+        let big = config_for(vec![2, 4096, 1], 1);
+        assert!(matches!(
+            sim.configure(&big),
+            Err(NpuError::CapacityExceeded { .. })
+        ));
+        assert!(!sim.configured());
     }
 }

@@ -27,7 +27,9 @@ pub struct NpuStats {
     pub invocations: u64,
     /// Invocations reset by misspeculation squashes.
     pub squashed_invocations: u64,
-    /// Weight reads corrupted by injected faults (defect modelling).
+    /// Weight reads corrupted by injected faults. The timing model injects
+    /// none and leaves it 0: faults perturb the functional evaluation
+    /// (the `ablation_faults` experiment), which has no cycle cost.
     pub faults_injected: u64,
     /// Cycles with an invocation in flight.
     pub active_cycles: u64,

@@ -221,7 +221,7 @@ impl Core {
         self.input.push_back(ev);
         self.input_peak = self.input_peak.max(self.input.len());
         while self.input.len() >= FEED_HIGH_WATER {
-            self.tick();
+            self.tick_guarded();
         }
     }
 
@@ -241,15 +241,7 @@ impl Core {
     /// output.
     pub fn finish(&mut self) -> SimStats {
         while !self.input.is_empty() || !self.fetch_buffer.is_empty() || self.rob_len > 0 {
-            self.tick();
-            assert!(
-                self.cycle - self.last_commit_cycle < STALL_GUARD,
-                "pipeline deadlock at cycle {}: rob={} iq={} head={:?}",
-                self.cycle,
-                self.rob_len,
-                self.iq.len(),
-                (self.rob_len > 0).then(|| self.slot(self.rob_base)),
-            );
+            self.tick_guarded();
         }
         self.stats.cycles = self.cycle;
         self.stats.bp_lookups = self.predictor.lookups();
@@ -282,6 +274,20 @@ impl Core {
         dep < self.rob_base || self.slot(dep).done_at <= now
     }
 
+    /// [`tick`](Self::tick), failing loudly instead of spinning forever
+    /// when nothing has committed for [`STALL_GUARD`] cycles.
+    fn tick_guarded(&mut self) {
+        self.tick();
+        assert!(
+            self.cycle - self.last_commit_cycle < STALL_GUARD,
+            "pipeline deadlock at cycle {}: rob={} iq={} head={:?}",
+            self.cycle,
+            self.rob_len,
+            self.iq.len(),
+            (self.rob_len > 0).then(|| self.slot(self.rob_base)),
+        );
+    }
+
     fn tick(&mut self) {
         self.cycle += 1;
         let now = self.cycle;
@@ -299,9 +305,9 @@ impl Core {
         let NpuAttachment::Cycle(sim) = &mut self.npu else {
             return;
         };
-        while let Some(&(at, v)) = self.link.enq_in_flight.front() {
+        while let Some(&at) = self.link.enq_in_flight.front() {
             if at <= now && sim.input_has_space() {
-                sim.enqueue_input(v);
+                sim.enqueue_input();
                 sim.commit_inputs(1);
                 self.link.enq_in_flight.pop_front();
             } else {
@@ -487,9 +493,9 @@ impl Core {
         match &mut self.npu {
             NpuAttachment::None => {}
             NpuAttachment::Cycle(_) => {
-                // Timing model: payload values are irrelevant (functional
-                // results come from the interpreter's own NPU port).
-                self.link.enq_in_flight.push_back((now + link, 0.5));
+                // Timing only: the values come from the interpreter's
+                // functional NPU port.
+                self.link.enq_in_flight.push_back(now + link);
             }
             NpuAttachment::Ideal {
                 n_inputs,
@@ -845,6 +851,28 @@ mod tests {
             r.cycles,
             b.cycles
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "pipeline deadlock")]
+    fn feed_fails_on_a_deadlocked_pipeline() {
+        // A configured NPU that never receives an input can never satisfy
+        // the leading deq.d, so nothing commits. Once the ROB and fetch
+        // buffer are full, feeding more events must fail instead of
+        // ticking forever.
+        let t = ann::Topology::new(vec![2, 2, 1]).unwrap();
+        let config = npu::NpuConfig::new(
+            ann::Mlp::zeroed(t),
+            ann::Normalizer::identity(2),
+            ann::Normalizer::identity(1),
+        );
+        let mut sim = NpuSim::new(npu::NpuParams::default());
+        sim.configure(&config).unwrap();
+        let mut core = Core::with_npu(CoreConfig::penryn_like(), sim);
+        core.feed(TraceEvent::simple(0, OpClass::NpuDeqD, [None; 3], Some(1)));
+        for i in 0..2 * FEED_HIGH_WATER as u64 {
+            core.feed(alu(i % 64, [None; 3], Some(2)));
+        }
     }
 
     #[test]

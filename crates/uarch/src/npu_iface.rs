@@ -38,13 +38,13 @@ impl NpuAttachment {
     }
 }
 
-/// In-flight enqueue values traversing the CPU→NPU link, plus the
-/// core-side availability times of NPU outputs (modelling the n-cycle
-/// NPU→CPU link of Figure 10).
+/// In-flight enqueues traversing the CPU→NPU link, plus the core-side
+/// availability times of NPU outputs (modelling the n-cycle NPU→CPU link
+/// of Figure 10).
 #[derive(Debug, Default)]
 pub struct LinkState {
-    /// `(deliver_at_cycle, value)` for enqueues still on the wire.
-    pub enq_in_flight: VecDeque<(u64, f32)>,
+    /// Delivery cycle of each enqueue still on the wire.
+    pub enq_in_flight: VecDeque<u64>,
     /// Core-side cycle at which each not-yet-dequeued NPU output becomes
     /// visible.
     pub output_visible_at: VecDeque<u64>,

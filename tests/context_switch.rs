@@ -3,8 +3,8 @@
 //! Section 5.2.
 
 use ann::{Mlp, Normalizer, Topology};
-use approx_ir::{Interpreter, NullSink, Program, Value};
-use npu::{NpuConfig, NpuParams, NpuSim};
+use approx_ir::{Interpreter, NpuPort, NullSink, Program, Value};
+use npu::{NpuConfig, NpuParams};
 use parrot::codegen::{
     build_config_loader, build_config_restorer, build_config_saver, build_invocation_stub,
 };
@@ -31,31 +31,39 @@ fn context_switch_preserves_npu_results() {
     let expected_b = config_b.evaluate(&inputs);
     assert_ne!(expected_a, expected_b, "processes must differ");
 
-    let mut sim = NpuSim::new(NpuParams::default());
-    sim.configure(&config_a).unwrap();
+    let invoke = |npu: &mut NpuRuntime| -> Vec<f32> {
+        for &v in &inputs {
+            npu.enq_data(v);
+        }
+        (0..2).map(|_| npu.deq_data()).collect()
+    };
+
+    let mut npu = NpuRuntime::configured(NpuParams::default(), &config_a).unwrap();
     // Process A computes once.
-    let got = sim.evaluate_invocation(&inputs).unwrap();
-    assert_eq!(got, expected_a);
+    assert_eq!(invoke(&mut npu), expected_a);
 
     // Context switch: OS saves A's configuration word stream.
-    let n = sim.config_len().unwrap();
-    let saved: Vec<u32> = (0..n).map(|_| sim.deq_config_word().unwrap()).collect();
+    let saved: Vec<u32> = (0..config_a.encoded_len())
+        .map(|_| npu.deq_config())
+        .collect();
 
     // Process B configures and runs.
     for w in config_b.encode() {
-        sim.enq_config_word(w).unwrap();
+        npu.enq_config(w);
     }
-    let got_b = sim.evaluate_invocation(&inputs).unwrap();
-    for (g, e) in got_b.iter().zip(&expected_b) {
-        assert!((g - e).abs() < 1e-6);
-    }
+    assert_eq!(npu.current_config(), Some(&config_b));
+    assert_eq!(invoke(&mut npu), expected_b);
 
     // Switch back: restore A from the saved words.
     for w in saved {
-        sim.enq_config_word(w).unwrap();
+        npu.enq_config(w);
     }
-    let got_a_again = sim.evaluate_invocation(&inputs).unwrap();
-    assert_eq!(got_a_again, expected_a, "restored config must be identical");
+    assert_eq!(npu.current_config(), Some(&config_a));
+    assert_eq!(
+        invoke(&mut npu),
+        expected_a,
+        "restored config must be identical"
+    );
 }
 
 /// The same flow driven entirely by IR programs (the loader/saver the
