@@ -343,6 +343,45 @@ fn bench_core_mixed(c: &mut Criterion) {
     });
 }
 
+/// Core-model throughput while the core mostly waits on a cycle-accurate
+/// NPU: 2,000 sobel-sized (9→8→1) invocations, each nine `enq.d`, one
+/// `deq.d` and four dependent ALU ops, so most simulated cycles have the
+/// core blocked on `deq.d` while only the NPU advances.
+fn bench_core_npu_bound(c: &mut Criterion) {
+    let config = config_for(vec![9, 8, 1]);
+    let mut events = Vec::new();
+    for round in 0..2000u64 {
+        for i in 0..9 {
+            events.push(TraceEvent::simple(
+                i,
+                OpClass::NpuEnqD,
+                [Some((round % 4) as u16), None, None],
+                None,
+            ));
+        }
+        events.push(TraceEvent::simple(9, OpClass::NpuDeqD, [None; 3], Some(4)));
+        for g in 0..4 {
+            events.push(TraceEvent::simple(
+                10 + g,
+                OpClass::IntAlu,
+                [Some(4), None, None],
+                Some(g as u16),
+            ));
+        }
+    }
+    c.bench_function("core_sim_npu_bound", |b| {
+        b.iter(|| {
+            let mut sim = NpuSim::new(NpuParams::default());
+            sim.configure(&config).unwrap();
+            let mut core = Core::with_npu(CoreConfig::penryn_like(), sim);
+            for ev in &events {
+                core.feed(*ev);
+            }
+            core.finish().cycles
+        });
+    });
+}
+
 /// MLP forward pass (functional NN evaluation) per paper topology.
 fn bench_forward(c: &mut Criterion) {
     let mut group = c.benchmark_group("mlp_forward");
@@ -496,6 +535,7 @@ criterion_group!(
     bench_trace_replay,
     bench_core_throughput,
     bench_core_mixed,
+    bench_core_npu_bound,
     bench_forward,
     bench_telemetry_overhead,
     bench_analysis_overhead

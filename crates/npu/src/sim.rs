@@ -272,15 +272,25 @@ impl NpuSim {
     // Cycle model
     // ------------------------------------------------------------------
 
-    /// Advances the NPU by one cycle.
-    pub fn tick(&mut self) {
+    /// Advances the NPU by one cycle. Returns whether it made progress:
+    /// whether anything besides the cycle counters (`cycle`,
+    /// `total_cycles`, `active_cycles`) changed.
+    ///
+    /// Nothing in the model waits on time alone: a sigmoid result is
+    /// readable the cycle after its last MAC, and a neuron result stays
+    /// readable once produced. So a tick without progress repeats, cycle
+    /// for cycle, until an input is enqueued or an output is dequeued;
+    /// [`advance_stalled`](Self::advance_stalled) skips such a span.
+    pub fn tick(&mut self) -> bool {
         self.cycle += 1;
         self.stats.total_cycles += 1;
         let Some(state) = &mut self.state else {
-            return;
+            return false;
         };
+        let mut moved = false;
         // Start a new invocation when input data arrives.
         if state.inv.is_none() && self.input_fifo.readable() {
+            moved = true;
             state.inv = Some(Invocation {
                 bus_pc: 0,
                 start_cycle: self.cycle,
@@ -295,7 +305,7 @@ impl NpuSim {
             });
         }
         let Some(inv) = &mut state.inv else {
-            return;
+            return false;
         };
         self.stats.active_cycles += 1;
         let now = self.cycle;
@@ -307,6 +317,7 @@ impl NpuSim {
                     inv.neuron_ready[p.layer][p.neuron] = Some(now);
                     self.stats.sigmoids += 1;
                     pe.pending = None;
+                    moved = true;
                 }
             }
             let Some(task) = tasks.get(pe.task_idx) else {
@@ -319,6 +330,7 @@ impl NpuSim {
             }
             pe.queued -= 1;
             pe.mac_idx += 1;
+            moved = true;
             self.stats.macs += 1;
             self.stats.weight_reads += 1;
             if completing {
@@ -377,6 +389,7 @@ impl NpuSim {
                 }
                 inv.bus_pc += 1;
                 self.stats.bus_transfers += 1;
+                moved = true;
             }
         }
 
@@ -407,6 +420,21 @@ impl NpuSim {
                 });
             }
             self.retire_history();
+            moved = true;
+        }
+        moved
+    }
+
+    /// Advances the clock over `k` cycles in which the NPU is known to
+    /// make no progress (the last [`tick`](Self::tick) returned `false`
+    /// and no FIFO operation happened since): counts them in
+    /// `total_cycles`, and in `active_cycles` while an invocation is in
+    /// flight, exactly as `k` ticks would.
+    pub fn advance_stalled(&mut self, k: u64) {
+        self.cycle += k;
+        self.stats.total_cycles += k;
+        if self.state.as_ref().is_some_and(|s| s.inv.is_some()) {
+            self.stats.active_cycles += k;
         }
     }
 
@@ -415,19 +443,12 @@ impl NpuSim {
     ///
     /// # Panics
     ///
-    /// Panics if the NPU makes no progress for a long time (e.g. the
-    /// output FIFO is full and nobody drains it).
+    /// Panics if a tick makes no progress (e.g. the output FIFO is full
+    /// and nobody drains it): with no FIFO operation in between, no later
+    /// tick would make progress either.
     pub fn run_until_idle(&mut self) {
-        let mut stall = 0u32;
         while self.busy() {
-            let before = (self.stats.bus_transfers, self.stats.macs);
-            self.tick();
-            if (self.stats.bus_transfers, self.stats.macs) == before {
-                stall += 1;
-                assert!(stall < 1_000_000, "npu deadlock: no progress");
-            } else {
-                stall = 0;
-            }
+            assert!(self.tick(), "npu deadlock: no progress");
         }
     }
 }
@@ -697,6 +718,59 @@ mod tests {
         sim.run_until_idle();
         assert_eq!(sim.stats().invocations, 2);
         assert!(sim.output_available());
+    }
+
+    #[test]
+    fn tick_reports_progress_and_stalled_spans_count_cycles() {
+        let config = config_for(vec![2, 2, 1], 6);
+        let params = NpuParams {
+            output_fifo: 1,
+            ..NpuParams::default()
+        };
+        let mut sim = NpuSim::new(params);
+        sim.configure(&config).unwrap();
+        for _ in 0..4 {
+            sim.enqueue_input();
+        }
+        sim.commit_inputs(4);
+        // Run until the second invocation's output finds the FIFO full.
+        let mut ticks = 0;
+        while sim.tick() {
+            ticks += 1;
+            assert!(ticks < 1000, "the drain never blocked");
+        }
+        assert_eq!(sim.stats().outputs_produced, 1);
+        assert!(sim.busy());
+        // No progress until the output is dequeued, whatever the wait.
+        let stalled = *sim.stats();
+        for _ in 0..5 {
+            assert!(!sim.tick());
+        }
+        // A stalled span counts as cycles, active while in flight.
+        sim.advance_stalled(10);
+        let after = sim.stats();
+        assert_eq!(after.total_cycles, stalled.total_cycles + 15);
+        assert_eq!(after.active_cycles, stalled.active_cycles + 15);
+        assert_eq!(sim.cycle(), stalled.total_cycles + 15);
+        assert_eq!(
+            NpuStats {
+                total_cycles: stalled.total_cycles,
+                active_cycles: stalled.active_cycles,
+                ..*after
+            },
+            stalled
+        );
+        sim.dequeue_output();
+        sim.commit_outputs(1);
+        assert!(sim.tick());
+        sim.run_until_idle();
+        assert_eq!(sim.stats().invocations, 2);
+        // With no invocation in flight only the total advances.
+        let idle = *sim.stats();
+        sim.advance_stalled(7);
+        assert_eq!(sim.stats().total_cycles, idle.total_cycles + 7);
+        assert_eq!(sim.stats().active_cycles, idle.active_cycles);
+        assert!(!sim.tick());
     }
 
     #[test]

@@ -84,12 +84,35 @@ const EMPTY_SLOT: Slot = Slot {
     done_at: NOT_ISSUED,
 };
 
+/// An issue-queue entry with its operand readiness cached.
+#[derive(Debug, Clone, Copy)]
+struct IqEntry {
+    /// Absolute ROB index of the waiting instruction.
+    abs: u64,
+    /// Cycle every operand is available: the latest producer's `done_at`,
+    /// known once every producer has issued ([`NOT_ISSUED`] until then).
+    /// A producer's `done_at` never changes after issue, so neither does
+    /// this.
+    ready_at: u64,
+    /// The producer the entry was last seen waiting on ([`NONE`] before
+    /// the first look); while it has not issued, the entry stays blocked.
+    wait: u64,
+}
+
+/// Per-cycle stall counters: `rob_full_stalls`, `iq_full_stalls`,
+/// `lsq_full_stalls`.
+type Stalls = [u64; 3];
+
 /// The trace-driven out-of-order core.
 ///
 /// Feed it dynamic instructions (it implements
 /// [`TraceSink`](approx_ir::TraceSink), so it can be passed straight to
 /// `Interpreter::run_traced`), then call [`finish`](Core::finish) to drain
 /// the pipeline and read the final [`SimStats`].
+///
+/// The clock is event driven: the pipeline stages run only in cycles in
+/// which one of them can act. The cycles in between are accounted exactly
+/// as if every stage had run in each.
 #[derive(Debug)]
 pub struct Core {
     cfg: CoreConfig,
@@ -100,10 +123,12 @@ pub struct Core {
     link: LinkState,
 
     cycle: u64,
-    /// Events fed but not yet fetched.
+    /// Events fed but not yet dispatched. The first `fetch_ready.len()`
+    /// have been fetched; the rest are the streaming input buffer.
     input: VecDeque<TraceEvent>,
-    /// Fetched instructions awaiting dispatch: `(event, dispatch_ready_at)`.
-    fetch_buffer: VecDeque<(TraceEvent, u64)>,
+    /// Dispatch-ready cycle of each fetched event at the front of `input`
+    /// (the fetch buffer).
+    fetch_ready: VecDeque<u64>,
     /// In-flight window as a power-of-two ring: absolute index `abs` lives
     /// at `rob[abs & rob_mask]`; `rob_base` is the oldest in-flight index
     /// and `rob_len` the occupancy.
@@ -111,8 +136,8 @@ pub struct Core {
     rob_mask: u64,
     rob_base: u64,
     rob_len: usize,
-    /// Issue queue: absolute indices of waiting slots, in age order.
-    iq: Vec<u64>,
+    /// Issue queue: waiting instructions, in age order.
+    iq: Vec<IqEntry>,
     /// Last writer (absolute index, or [`NONE`]) of each register number.
     reg_producer: Vec<u64>,
     /// Youngest in-flight store per word address.
@@ -128,8 +153,14 @@ pub struct Core {
     /// Non-pipelined FP unit reservations.
     fp_unit_busy: Vec<u64>,
     last_commit_cycle: u64,
-    /// High-water mark of `input` (events fed but not yet fetched).
+    /// High-water mark of the unfetched part of `input`.
     input_peak: usize,
+    /// If no stage acted in the last cycle the stages ran: the stall
+    /// counts that cycle added, which every cycle up to the next wake-up
+    /// adds again.
+    idle_stalls: Option<Stalls>,
+    /// Whether the cycle NPU made progress in its last tick.
+    npu_moved: bool,
 }
 
 impl Core {
@@ -138,8 +169,8 @@ impl Core {
         Core::with_attachment(cfg, NpuAttachment::None)
     }
 
-    /// Creates a core with a pre-configured cycle-accurate NPU. The NPU is
-    /// ticked in lockstep with the core; `enq.d` values travel the link in
+    /// Creates a core with a pre-configured cycle-accurate NPU. The NPU
+    /// runs at the core's clock; `enq.d` values travel the link in
     /// `cfg.npu_link_latency` cycles each way.
     pub fn with_npu(cfg: CoreConfig, npu: NpuSim) -> Self {
         Core::with_attachment(cfg, NpuAttachment::Cycle(Box::new(npu)))
@@ -161,8 +192,9 @@ impl Core {
             link: LinkState::default(),
             stats: SimStats::default(),
             cycle: 0,
-            input: VecDeque::new(),
-            fetch_buffer: VecDeque::new(),
+            // Sized once for the most it ever holds, so it never regrows.
+            input: VecDeque::with_capacity(FEED_HIGH_WATER + FETCH_BUFFER_CAP),
+            fetch_ready: VecDeque::with_capacity(FETCH_BUFFER_CAP),
             rob: vec![EMPTY_SLOT; ring],
             rob_mask: ring as u64 - 1,
             rob_base: NONE + 1,
@@ -178,6 +210,8 @@ impl Core {
             fp_unit_busy: vec![0; cfg.fp_units],
             last_commit_cycle: 0,
             input_peak: 0,
+            idle_stalls: None,
+            npu_moved: false,
             cfg,
         }
     }
@@ -219,15 +253,15 @@ impl Core {
     /// use stays constant for arbitrarily long traces.
     pub fn feed(&mut self, ev: TraceEvent) {
         self.input.push_back(ev);
-        self.input_peak = self.input_peak.max(self.input.len());
-        while self.input.len() >= FEED_HIGH_WATER {
-            self.tick_guarded();
+        self.input_peak = self.input_peak.max(self.unfetched());
+        while self.unfetched() >= FEED_HIGH_WATER {
+            self.step_guarded();
         }
     }
 
-    /// High-water mark of this core's streaming input buffer, in events.
-    /// Bounded by the feed back-pressure threshold regardless of trace
-    /// length.
+    /// High-water mark of this core's streaming input buffer (events fed
+    /// but not yet fetched). Bounded by the feed back-pressure threshold
+    /// regardless of trace length.
     pub fn input_buffer_peak(&self) -> usize {
         self.input_peak
     }
@@ -240,8 +274,8 @@ impl Core {
     /// that indicates a protocol bug, e.g. a `deq.d` with no matching NPU
     /// output.
     pub fn finish(&mut self) -> SimStats {
-        while !self.input.is_empty() || !self.fetch_buffer.is_empty() || self.rob_len > 0 {
-            self.tick_guarded();
+        while !self.input.is_empty() || self.rob_len > 0 {
+            self.step_guarded();
         }
         self.stats.cycles = self.cycle;
         self.stats.bp_lookups = self.predictor.lookups();
@@ -268,16 +302,15 @@ impl Core {
         &self.rob[(abs & self.rob_mask) as usize]
     }
 
-    /// Whether the result of `dep` is available at `now`: it has committed
-    /// (or is [`NONE`]) or has finished executing.
-    fn dep_ready(&self, dep: u64, now: u64) -> bool {
-        dep < self.rob_base || self.slot(dep).done_at <= now
+    /// Events fed but not yet fetched.
+    fn unfetched(&self) -> usize {
+        self.input.len() - self.fetch_ready.len()
     }
 
-    /// [`tick`](Self::tick), failing loudly instead of spinning forever
+    /// [`step`](Self::step), failing loudly instead of spinning forever
     /// when nothing has committed for [`STALL_GUARD`] cycles.
-    fn tick_guarded(&mut self) {
-        self.tick();
+    fn step_guarded(&mut self) {
+        self.step();
         assert!(
             self.cycle - self.last_commit_cycle < STALL_GUARD,
             "pipeline deadlock at cycle {}: rob={} iq={} head={:?}",
@@ -288,22 +321,136 @@ impl Core {
         );
     }
 
-    fn tick(&mut self) {
-        self.cycle += 1;
+    /// Advances to the next cycle in which a stage can act and runs the
+    /// stages in it. A cycle in which no stage acts is idle: only the
+    /// dispatch stall counters moved, and the next step skips ahead.
+    fn step(&mut self) {
+        self.advance();
         let now = self.cycle;
-        self.npu_tick(now);
-        self.writeback(now);
-        self.commit(now);
-        self.issue(now);
-        self.dispatch(now);
-        self.fetch(now);
+        let before = self.stalls();
+        // Every stage runs (no short-circuit); each reports whether it
+        // changed the pipeline.
+        let acted = self.writeback(now)
+            | self.commit(now)
+            | self.issue(now)
+            | self.dispatch(now)
+            | self.fetch(now);
+        self.idle_stalls = (!acted).then(|| {
+            let after = self.stalls();
+            [0, 1, 2].map(|i| after[i] - before[i])
+        });
+    }
+
+    fn stalls(&self) -> Stalls {
+        [
+            self.stats.rob_full_stalls,
+            self.stats.iq_full_stalls,
+            self.stats.lsq_full_stalls,
+        ]
+    }
+
+    /// Counts `cycles` idle cycles that each add `stalls`.
+    fn credit_idle(&mut self, stalls: Stalls, cycles: u64) {
+        self.stats.rob_full_stalls += stalls[0] * cycles;
+        self.stats.iq_full_stalls += stalls[1] * cycles;
+        self.stats.lsq_full_stalls += stalls[2] * cycles;
+    }
+
+    /// Moves the clock to the next cycle in which a stage can act, ticking
+    /// the NPU through every cycle up to and including it.
+    ///
+    /// After a busy cycle that is simply the next one. After an idle
+    /// cycle the core's state is frozen until [`wake`](Self::wake) (or the
+    /// deadlock guard's cycle), except for what the cycle NPU changes.
+    /// While the NPU makes progress it ticks alone, one cycle at a time,
+    /// until something the core reads from it changes; the core stages
+    /// then run in that same cycle. Once an NPU tick makes no progress,
+    /// nothing changes until the core wakes or an enqueue lands, so the
+    /// clock jumps there and the NPU counts the span as stalled cycles.
+    fn advance(&mut self) {
+        let Some(stalls) = self.idle_stalls else {
+            self.cycle += 1;
+            self.npu_moved = self.npu_tick(self.cycle);
+            return;
+        };
+        let wake = self
+            .wake(self.cycle)
+            .min(self.last_commit_cycle + STALL_GUARD);
+        if !matches!(self.npu, NpuAttachment::Cycle(_)) {
+            self.credit_idle(stalls, wake - self.cycle - 1);
+            self.cycle = wake;
+            return;
+        }
+        while self.npu_moved {
+            let seen = self.npu_view();
+            self.cycle += 1;
+            self.npu_moved = self.npu_tick(self.cycle);
+            if self.cycle == wake || self.npu_view() != seen {
+                return;
+            }
+            self.credit_idle(stalls, 1);
+        }
+        let landing = self
+            .link
+            .enq_in_flight
+            .front()
+            .copied()
+            .filter(|&at| at > self.cycle);
+        let to = landing.map_or(wake, |at| at.min(wake));
+        let skipped = to - self.cycle - 1;
+        self.credit_idle(stalls, skipped);
+        if let NpuAttachment::Cycle(sim) = &mut self.npu {
+            sim.advance_stalled(skipped);
+        }
+        self.cycle = to;
+        self.npu_moved = self.npu_tick(to);
+    }
+
+    /// The earliest cycle after an idle cycle `now` in which a stage can
+    /// act without the NPU changing anything: an operand or the ROB head
+    /// becomes ready, the branch fetch waits on resolves, an unpipelined
+    /// FP unit frees, an NPU output becomes visible, the fetch-buffer head
+    /// becomes dispatchable, or a fetch redirect ends. Every other
+    /// condition a stage waits on changes only when some stage acts.
+    fn wake(&self, now: u64) -> u64 {
+        let head = (self.rob_len > 0).then(|| self.slot(self.rob_base).done_at);
+        let branch = self
+            .fetch_blocked_on
+            .filter(|&b| b < self.rob_base + self.rob_len as u64)
+            .map(|b| self.slot(b).done_at);
+        self.iq
+            .iter()
+            .map(|e| e.ready_at)
+            .chain(head)
+            .chain(branch)
+            .chain(self.fp_unit_busy.iter().copied())
+            .chain(self.link.output_visible_at.front().copied())
+            .chain(self.fetch_ready.front().copied())
+            .chain([self.fetch_stalled_until])
+            .filter(|&at| at > now)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// What issue reads from the cycle NPU: input-FIFO entries taken (in
+    /// the FIFO or still on the link) and outputs on their way to the core.
+    fn npu_view(&self) -> (usize, usize) {
+        let queued = match &self.npu {
+            NpuAttachment::Cycle(sim) => sim.input_fifo_len(),
+            _ => 0,
+        };
+        (
+            queued + self.link.enq_in_flight.len(),
+            self.link.output_visible_at.len(),
+        )
     }
 
     /// Delivers in-flight enqueues, ticks the NPU one cycle, and records
-    /// the core-side visibility time of any new outputs.
-    fn npu_tick(&mut self, now: u64) {
+    /// the core-side visibility time of any new outputs. Returns whether
+    /// the NPU made progress.
+    fn npu_tick(&mut self, now: u64) -> bool {
         let NpuAttachment::Cycle(sim) = &mut self.npu else {
-            return;
+            return false;
         };
         while let Some(&at) = self.link.enq_in_flight.front() {
             if at <= now && sim.input_has_space() {
@@ -314,7 +461,7 @@ impl Core {
                 break;
             }
         }
-        sim.tick();
+        let moved = sim.tick();
         let produced = sim.stats().outputs_produced;
         while self.link.outputs_seen < produced {
             self.link
@@ -322,29 +469,33 @@ impl Core {
                 .push_back(now + self.cfg.npu_link_latency);
             self.link.outputs_seen += 1;
         }
+        moved
     }
 
     /// A resolving mispredicted branch un-blocks fetch after the front-end
     /// refill penalty. Results need no other writeback: consumers and
     /// commit read `done_at` directly. The branch is seen here in the very
     /// cycle its result is produced, before it can commit.
-    fn writeback(&mut self, now: u64) {
+    fn writeback(&mut self, now: u64) -> bool {
         let Some(branch) = self.fetch_blocked_on else {
-            return;
+            return false;
         };
         let dispatched = branch < self.rob_base + self.rob_len as u64;
-        if dispatched && self.slot(branch).done_at <= now {
-            self.fetch_blocked_on = None;
-            self.fetch_stalled_until = now + self.cfg.mispredict_refill;
-            if telemetry::enabled(telemetry::Level::Trace) {
-                telemetry::emit(telemetry::Level::Trace, "uarch::core", || {
-                    telemetry::EventKind::BranchMispredict { cycle: now }
-                });
-            }
+        if !dispatched || self.slot(branch).done_at > now {
+            return false;
         }
+        self.fetch_blocked_on = None;
+        self.fetch_stalled_until = now + self.cfg.mispredict_refill;
+        if telemetry::enabled(telemetry::Level::Trace) {
+            telemetry::emit(telemetry::Level::Trace, "uarch::core", || {
+                telemetry::EventKind::BranchMispredict { cycle: now }
+            });
+        }
+        true
     }
 
-    fn commit(&mut self, now: u64) {
+    fn commit(&mut self, now: u64) -> bool {
+        let base = self.rob_base;
         for _ in 0..self.cfg.commit_width {
             if self.rob_len == 0 || self.slot(self.rob_base).done_at > now {
                 break;
@@ -389,9 +540,27 @@ impl Core {
                 _ => {}
             }
         }
+        self.rob_base != base
     }
 
-    fn issue(&mut self, now: u64) {
+    /// The cycle every operand of `abs` is available, or `Err` with the
+    /// first in-flight producer that has not issued yet. A producer that
+    /// has committed (or is [`NONE`]) is available.
+    fn operands_ready_at(&self, abs: u64) -> Result<u64, u64> {
+        let mut ready_at = 0;
+        for &dep in &self.slot(abs).deps {
+            if dep >= self.rob_base {
+                let done_at = self.slot(dep).done_at;
+                if done_at == NOT_ISSUED {
+                    return Err(dep);
+                }
+                ready_at = ready_at.max(done_at);
+            }
+        }
+        Ok(ready_at)
+    }
+
+    fn issue(&mut self, now: u64) -> bool {
         let mut int_tokens = self.cfg.int_alus;
         let mut fp_tokens = self.cfg.fp_units;
         let mut load_tokens = self.cfg.load_units;
@@ -402,17 +571,31 @@ impl Core {
         // One in-place pass in age order: issued entries drop out of the
         // queue, the rest keep their order.
         let mut iq = std::mem::take(&mut self.iq);
-        iq.retain(|&abs| {
+        let waiting = iq.len();
+        iq.retain_mut(|e| {
             if budget == 0 {
                 return true;
             }
-            let slot = *self.slot(abs);
-            if !slot.deps.iter().all(|&d| self.dep_ready(d, now)) {
+            if e.ready_at == NOT_ISSUED {
+                if e.wait >= self.rob_base && self.slot(e.wait).done_at == NOT_ISSUED {
+                    return true;
+                }
+                match self.operands_ready_at(e.abs) {
+                    Ok(at) => e.ready_at = at,
+                    Err(producer) => {
+                        e.wait = producer;
+                        return true;
+                    }
+                }
+            }
+            if e.ready_at > now {
                 return true;
             }
+            let slot = (e.abs & self.rob_mask) as usize;
+            let class = self.rob[slot].class;
             // Functional unit / structural checks. The integer ALUs also
             // resolve branches and execute the NPU queue instructions.
-            let tokens = match slot.class {
+            let tokens = match class {
                 OpClass::FpAdd
                 | OpClass::FpMul
                 | OpClass::FpDiv
@@ -425,12 +608,12 @@ impl Core {
             if *tokens == 0 {
                 return true;
             }
-            let latency = match slot.class {
+            let latency = match class {
                 OpClass::IntAlu => lat.int_alu,
                 OpClass::FpAdd => lat.fp_add,
                 OpClass::FpMul => lat.fp_mul,
                 OpClass::FpDiv | OpClass::FpSqrt | OpClass::FpTrig => {
-                    let latency = match slot.class {
+                    let latency = match class {
                         OpClass::FpDiv => lat.fp_div,
                         OpClass::FpSqrt => lat.fp_sqrt,
                         _ => lat.fp_trig,
@@ -446,8 +629,8 @@ impl Core {
                     self.fp_unit_busy[unit] = now + latency;
                     latency
                 }
-                OpClass::Load if slot.forwarded => 1, // store-to-load forwarding
-                OpClass::Load => self.hierarchy.access(slot.mem_addr),
+                OpClass::Load if self.rob[slot].forwarded => 1, // store-to-load forwarding
+                OpClass::Load => self.hierarchy.access(self.rob[slot].mem_addr),
                 OpClass::Store => 1, // address/data into the store queue
                 OpClass::Branch | OpClass::Jump | OpClass::Call | OpClass::Ret => lat.branch,
                 OpClass::NpuEnqD => {
@@ -471,11 +654,13 @@ impl Core {
             *tokens -= 1;
             // A zero latency still produces its result at the next cycle's
             // writeback, never within the cycle it issues.
-            self.rob[(abs & self.rob_mask) as usize].done_at = now + latency.max(1);
+            self.rob[slot].done_at = now + latency.max(1);
             budget -= 1;
             false
         });
+        let issued = iq.len() != waiting;
         self.iq = iq;
+        issued
     }
 
     fn npu_enq_ready(&self) -> bool {
@@ -539,9 +724,10 @@ impl Core {
         }
     }
 
-    fn dispatch(&mut self, now: u64) {
+    fn dispatch(&mut self, now: u64) -> bool {
+        let mut dispatched = false;
         for _ in 0..self.cfg.dispatch_width {
-            let Some(&(ev, ready_at)) = self.fetch_buffer.front() else {
+            let Some(&ready_at) = self.fetch_ready.front() else {
                 break;
             };
             if ready_at > now {
@@ -555,7 +741,7 @@ impl Core {
                 self.stats.iq_full_stalls += 1;
                 break;
             }
-            match ev.class {
+            match self.input[0].class {
                 OpClass::Load if self.lq_used >= self.cfg.lq_entries => {
                     self.stats.lsq_full_stalls += 1;
                     break;
@@ -566,7 +752,9 @@ impl Core {
                 }
                 _ => {}
             }
-            self.fetch_buffer.pop_front();
+            self.fetch_ready.pop_front();
+            let ev = self.input.pop_front().expect("a fetched event");
+            dispatched = true;
             let abs = self.rob_base + self.rob_len as u64;
 
             // A producer that has since committed reads as ready, so the
@@ -619,46 +807,52 @@ impl Core {
                 done_at: NOT_ISSUED,
             };
             self.rob_len += 1;
-            self.iq.push(abs);
+            self.iq.push(IqEntry {
+                abs,
+                ready_at: NOT_ISSUED,
+                wait: NONE,
+            });
         }
+        dispatched
     }
 
-    fn fetch(&mut self, now: u64) {
+    fn fetch(&mut self, now: u64) -> bool {
         if self.fetch_blocked_on.is_some() || self.fetch_stalled_until > now {
-            return;
+            return false;
         }
+        let mut fetched = false;
         for _ in 0..self.cfg.fetch_width {
-            if self.fetch_buffer.len() >= FETCH_BUFFER_CAP {
+            let fetched_count = self.fetch_ready.len();
+            if fetched_count >= FETCH_BUFFER_CAP {
                 break;
             }
-            let Some(ev) = self.input.pop_front() else {
+            let Some(ev) = self.input.get(fetched_count) else {
                 break;
             };
-            let dispatch_at = now + self.cfg.frontend_depth;
-            let mut end_group = false;
-            if let Some(info) = ev.branch {
-                let prediction = self.predictor.predict_and_train(
-                    ev.pc,
-                    &info,
-                    ev.class == OpClass::Call,
-                    ev.class == OpClass::Ret,
-                );
-                if !prediction.correct {
-                    // Block fetch until this branch resolves.
-                    self.fetch_blocked_on =
-                        Some(self.rob_base + self.rob_len as u64 + self.fetch_buffer.len() as u64);
-                    end_group = true;
-                } else if info.taken {
-                    // Correctly predicted taken: redirect still ends the
-                    // fetch group.
-                    end_group = true;
-                }
+            self.fetch_ready.push_back(now + self.cfg.frontend_depth);
+            fetched = true;
+            let Some(info) = ev.branch else {
+                continue;
+            };
+            let prediction = self.predictor.predict_and_train(
+                ev.pc,
+                &info,
+                ev.class == OpClass::Call,
+                ev.class == OpClass::Ret,
+            );
+            if !prediction.correct {
+                // Block fetch until this branch resolves.
+                self.fetch_blocked_on =
+                    Some(self.rob_base + self.rob_len as u64 + fetched_count as u64);
+                break;
             }
-            self.fetch_buffer.push_back((ev, dispatch_at));
-            if end_group {
+            if info.taken {
+                // Correctly predicted taken: redirect still ends the
+                // fetch group.
                 break;
             }
         }
+        fetched
     }
 }
 

@@ -10,7 +10,7 @@ pub enum NpuAttachment {
     /// pure-CPU baselines whose traces contain no queue instructions
     /// anyway).
     None,
-    /// The cycle-accurate NPU, ticked in lockstep with the core (paper:
+    /// The cycle-accurate NPU, on the core's clock (paper:
     /// "the NPU operates at the same frequency and voltage as the main
     /// core").
     Cycle(Box<NpuSim>),

@@ -1,8 +1,8 @@
 //! Exact-timing pin for the core model. The golden trace (see
 //! `support/golden_trace.rs`) runs on a CPU-only core, a core with an
-//! ideal NPU and a core with a cycle-accurate 9→8→1 NPU; every `SimStats`
-//! field, and every `NpuStats` field of the NPU run, must equal the
-//! literals below. A scheduler change that moves any cycle fails here.
+//! ideal NPU and a core with a cycle-accurate 9→8→1 NPU (at link latency
+//! 1 and 16); every `SimStats` field, and every `NpuStats` field of the
+//! NPU runs, must equal the literals below. A scheduler change that moves any cycle fails here.
 
 #[path = "support/golden_trace.rs"]
 mod golden_trace;
@@ -168,6 +168,66 @@ fn cycle_npu_core_stats_are_pinned() {
             faults_injected: 0,
             active_cycles: 2194,
             total_cycles: 35493,
+        })
+    );
+}
+
+/// The cycle-NPU replay with a 16-cycle link each way (Figure 10's
+/// longest): enqueues land many cycles after they issue, so the core
+/// waits on the link as well as on the NPU.
+#[test]
+fn cycle_npu_core_stats_at_link_latency_16_are_pinned() {
+    let t = Topology::new(vec![NPU_INPUTS, 8, NPU_OUTPUTS]).unwrap();
+    let config = NpuConfig::new(
+        Mlp::seeded(t, 3),
+        Normalizer::identity(NPU_INPUTS),
+        Normalizer::identity(NPU_OUTPUTS),
+    );
+    let mut sim = NpuSim::new(NpuParams::default());
+    sim.configure(&config).unwrap();
+    let (stats, npu) = replay(Core::with_npu(CoreConfig::with_npu_link_latency(16), sim));
+    assert_eq!(
+        stats,
+        SimStats {
+            cycles: 35624,
+            committed: 20003,
+            int_ops: 13320,
+            fp_add_ops: 367,
+            fp_mul_ops: 653,
+            fp_div_ops: 313,
+            fp_sqrt_ops: 154,
+            fp_trig_ops: 77,
+            loads: 2414,
+            stores: 1802,
+            branches: 297,
+            npu_queue_ops: 606,
+            bp_lookups: 297,
+            bp_mispredicts: 195,
+            l1d_hits: 3177,
+            l1d_misses: 979,
+            l2_hits: 63,
+            l2_misses: 916,
+            mem_accesses: 916,
+            rob_full_stalls: 9911,
+            iq_full_stalls: 10394,
+            lsq_full_stalls: 6750,
+        }
+    );
+    assert_eq!(
+        npu,
+        Some(NpuStats {
+            macs: 4560,
+            sigmoids: 513,
+            weight_reads: 4560,
+            bus_transfers: 1026,
+            input_reads: 513,
+            outputs_produced: 57,
+            config_words: 114,
+            invocations: 57,
+            squashed_invocations: 0,
+            faults_injected: 0,
+            active_cycles: 2105,
+            total_cycles: 35624,
         })
     );
 }
