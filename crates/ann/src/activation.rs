@@ -84,6 +84,13 @@ impl SigmoidLut {
         self.table[pos.round() as usize]
     }
 
+    /// The hardware configuration ([`SigmoidLut::default`]), built once per
+    /// process and shared by every NPU evaluation path.
+    pub fn hardware() -> &'static SigmoidLut {
+        static HARDWARE: std::sync::OnceLock<SigmoidLut> = std::sync::OnceLock::new();
+        HARDWARE.get_or_init(SigmoidLut::default)
+    }
+
     /// Worst-case quantization step between adjacent table inputs.
     pub fn input_step(&self) -> f32 {
         2.0 * self.bound / (self.table.len() - 1) as f32

@@ -1,23 +1,9 @@
-//! Batched (matrix-matrix) forward, MSE, and minibatch-backprop kernels.
+//! The batched lane width and the minibatch weight-update rule.
 //!
-//! [`Scratch`] (PR 4) made the per-sample kernels allocation-free, but they
-//! still walk the weight matrices once per sample. [`BatchScratch`] processes
-//! up to [`LANES`] samples per weight-matrix walk: activations are stored
-//! *lane-major* (`[layer][neuron][lane]`, one contiguous `[f32; LANES]` block
-//! per neuron), so the inner loops are fixed-width lane arrays the stable
-//! compiler autovectorizes — no nightly `std::simd`.
-//!
-//! **Bit-exactness contract** (extends the one in [`crate::Scratch`]): every
-//! lane performs the *identical scalar operation sequence* as the scalar
-//! kernels — each neuron's sum starts from the bias and accumulates inputs in
-//! index order, per lane, with no horizontal reassociation. A sample's
-//! forward activations and MSE contribution are therefore bit-identical to
-//! [`Scratch::forward`] / [`mse_with`](crate::mse_with) regardless of batch
-//! size or remainder-tail position; the proptests below pin this. The scalar
-//! `Scratch` stays in the tree as the reference oracle.
-//!
-//! Minibatch backprop ([`BatchScratch::accumulate_block`] +
-//! [`BatchScratch::apply_update`]) is *gradient-equivalent*, not
+//! [`Scratch<LANES>`](crate::Scratch) ([`BatchScratch`]) runs the shared
+//! forward walk and delta pass for [`LANES`] samples per weight-matrix
+//! walk. Minibatch backprop ([`Scratch::accumulate_block`] +
+//! [`Scratch::apply_update`]) is *gradient-equivalent*, not
 //! weight-trajectory-identical, to per-sample SGD: it accumulates each
 //! weight's gradient over the minibatch **in sample order** (lane order
 //! within a block, block order across the batch), so the accumulated
@@ -25,210 +11,36 @@
 //! weights; the momentum update `v = µ·v − lr·G; w += v` is then applied
 //! once per minibatch.
 
-use crate::activation::SigmoidLut;
-use crate::{sigmoid, sigmoid_derivative, Dataset, Mlp, Topology};
+use crate::{sigmoid, Mlp, Scratch};
 
-/// Samples processed per weight-matrix walk. Sixteen f32 lanes give the MAC
-/// loop four independent SSE2 (or two AVX2) accumulator chains — measured
-/// faster than 8 lanes on the reference workload because the extra chains
-/// hide the FP-add latency. The remainder tail runs the same code with idle
-/// lanes masked out at the boundaries (loads zeroed, stores/reductions
-/// skipped).
+/// Samples processed per weight-matrix walk by the batched kernel. Sixteen
+/// f32 lanes give the MAC loop four independent SSE2 (or two AVX2)
+/// accumulator chains — measured faster than 8 lanes on the reference
+/// workload because the extra chains hide the FP-add latency. The
+/// remainder tail runs the same code with idle lanes zeroed on load and
+/// skipped on store and accumulation.
 pub const LANES: usize = 16;
 
-/// Flat, reusable lane-major buffers for batched evaluation and minibatch
-/// training. Binds lazily to a topology like [`Scratch`](crate::Scratch).
-#[derive(Debug, Clone, Default)]
-pub struct BatchScratch {
-    /// Layer sizes this scratch is currently bound to (empty = unbound).
-    layers: Vec<usize>,
-    /// Lane-major activations: neuron `j` of layer `l` occupies
-    /// `acts[(act_off[l] + j) * LANES ..][..LANES]`.
-    acts: Vec<f32>,
-    /// Neuron offsets per layer (multiply by `LANES` for buffer offsets).
-    act_off: Vec<usize>,
-    /// Lane-major `dE/dnet` per computing layer.
-    deltas: Vec<f32>,
-    /// Neuron offsets per computing layer (0 = first hidden).
-    delta_off: Vec<usize>,
-    /// Accumulated minibatch gradient, one entry per weight, laid out
-    /// exactly like the concatenated weight matrices.
-    grads: Vec<f32>,
-    /// Momentum state, same layout as `grads`.
-    velocity: Vec<f32>,
-    /// `grads`/`velocity` offsets per weight matrix.
-    vel_off: Vec<usize>,
-}
+/// The batched instantiation of the one forward/backward kernel.
+pub type BatchScratch = Scratch<LANES>;
 
-impl BatchScratch {
-    /// Creates an unbound scratch; it sizes itself on first use.
-    pub fn new() -> Self {
-        BatchScratch::default()
-    }
-
-    /// Creates a scratch pre-sized for `topology`.
-    pub fn for_topology(topology: &Topology) -> Self {
-        let mut s = BatchScratch::new();
-        s.bind(topology);
-        s
-    }
-
-    /// (Re)binds the buffers to `topology`, zeroing the gradient and
-    /// momentum state (mirrors [`Scratch::bind`](crate::Scratch::bind)).
-    pub fn bind(&mut self, topology: &Topology) {
-        if self.layers != topology.layers() {
-            self.layers.clear();
-            self.layers.extend_from_slice(topology.layers());
-            self.act_off.clear();
-            self.act_off.push(0);
-            for &n in &self.layers {
-                self.act_off.push(self.act_off.last().unwrap() + n);
-            }
-            self.delta_off.clear();
-            self.delta_off.push(0);
-            for &n in &self.layers[1..] {
-                self.delta_off.push(self.delta_off.last().unwrap() + n);
-            }
-            self.vel_off.clear();
-            self.vel_off.push(0);
-            for w in self.layers.windows(2) {
-                self.vel_off
-                    .push(self.vel_off.last().unwrap() + (w[0] + 1) * w[1]);
-            }
-            self.acts.resize(self.act_off.last().unwrap() * LANES, 0.0);
-            self.deltas
-                .resize(self.delta_off.last().unwrap() * LANES, 0.0);
-            self.grads.resize(*self.vel_off.last().unwrap(), 0.0);
-            self.velocity.resize(*self.vel_off.last().unwrap(), 0.0);
-        }
-        self.grads.fill(0.0);
-        self.velocity.fill(0.0);
-    }
-
-    fn ensure_bound(&mut self, mlp: &Mlp) {
-        if self.layers != mlp.topology().layers() {
-            self.bind(mlp.topology());
-        }
-    }
-
-    /// Loads up to [`LANES`] sample inputs into the lane-major input layer,
-    /// zeroing idle lanes (their garbage would otherwise flow through the
-    /// activations; it is never read back, but zeroing keeps every lane's
-    /// arithmetic finite and the buffers deterministic).
-    fn load_inputs(&mut self, inputs: &[&[f32]]) {
-        let n_in = self.layers[0];
-        let block = &mut self.acts[..n_in * LANES];
-        if inputs.len() < LANES {
-            // Partial tail: idle lanes would otherwise carry garbage from
-            // the previous block; they are never read back, but zeroing
-            // keeps every lane's arithmetic finite and deterministic.
-            block.fill(0.0);
-        }
-        for (lane, input) in inputs.iter().enumerate() {
-            debug_assert_eq!(input.len(), n_in);
-            for (j, &x) in input.iter().enumerate() {
-                block[j * LANES + lane] = x;
-            }
-        }
-    }
-
-    /// The batched layer walk: one pass over each weight matrix computes
-    /// all lanes. Per lane the arithmetic is exactly the scalar kernel's:
-    /// `sum = bias; sum += w_i * x_i` in index order, then `act(sum)`.
-    fn forward_loaded(&mut self, mlp: &Mlp, act: impl Fn(f32) -> f32 + Copy) {
-        for (l, matrix) in mlp.weight_matrices().iter().enumerate() {
-            let n_in = self.layers[l];
-            let n_out = self.layers[l + 1];
-            let (prev_all, next_all) = self.acts.split_at_mut(self.act_off[l + 1] * LANES);
-            let prev = &prev_all[self.act_off[l] * LANES..];
-            let next = &mut next_all[..n_out * LANES];
-            for (row, out) in matrix
-                .chunks_exact(n_in + 1)
-                .zip(next.chunks_exact_mut(LANES))
-            {
-                let (bias, ws) = row.split_last().expect("row holds bias");
-                let mut sum = [*bias; LANES];
-                for (x_blk, &w) in prev.chunks_exact(LANES).zip(ws.iter()) {
-                    for (s, &xv) in sum.iter_mut().zip(x_blk) {
-                        *s += w * xv;
-                    }
-                }
-                for (o, &s) in out.iter_mut().zip(sum.iter()) {
-                    *o = act(s);
-                }
-            }
-        }
-    }
-
-    /// Forward-evaluates one block of up to [`LANES`] samples with the
-    /// exact sigmoid, writing sample-major outputs (`inputs.len() × n_out`)
-    /// into `outputs`. Each sample's outputs are bit-identical to
-    /// [`Scratch::forward`](crate::Scratch::forward).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` holds more than [`LANES`] samples, an input has
-    /// the wrong width, or `outputs` is shorter than
-    /// `inputs.len() * n_out`.
-    pub fn forward_block(&mut self, mlp: &Mlp, inputs: &[&[f32]], outputs: &mut [f32]) {
-        self.forward_block_with(mlp, inputs, outputs, sigmoid);
-    }
-
-    /// [`forward_block`](Self::forward_block) with the NPU's sigmoid LUT:
-    /// per-sample bit-identical to [`Mlp::feed_forward_lut`].
-    pub fn forward_block_lut(
-        &mut self,
-        mlp: &Mlp,
-        inputs: &[&[f32]],
-        outputs: &mut [f32],
-        lut: &SigmoidLut,
-    ) {
-        self.forward_block_with(mlp, inputs, outputs, |x| lut.eval(x));
-    }
-
-    fn forward_block_with(
-        &mut self,
-        mlp: &Mlp,
-        inputs: &[&[f32]],
-        outputs: &mut [f32],
-        act: impl Fn(f32) -> f32 + Copy,
-    ) {
-        assert!(inputs.len() <= LANES, "block larger than LANES");
-        self.ensure_bound(mlp);
-        for input in inputs {
-            assert_eq!(input.len(), self.layers[0], "input vector size mismatch");
-        }
-        let n_out = *self.layers.last().unwrap();
-        assert!(
-            outputs.len() >= inputs.len() * n_out,
-            "output buffer too small"
-        );
-        self.load_inputs(inputs);
-        self.forward_loaded(mlp, act);
-        let out_block = &self.acts[self.act_off[self.layers.len() - 1] * LANES..];
-        for lane in 0..inputs.len() {
-            for k in 0..n_out {
-                outputs[lane * n_out + k] = out_block[k * LANES + lane];
-            }
-        }
-    }
-
+impl<const W: usize> Scratch<W> {
     /// Zeroes the accumulated gradient to start a new minibatch.
     pub fn begin_batch(&mut self, mlp: &Mlp) {
         self.ensure_bound(mlp);
         self.grads.fill(0.0);
     }
 
-    /// Forward+backward over one block of up to [`LANES`] samples at fixed
+    /// Forward+backward over one block of up to `W` samples at fixed
     /// weights, adding each weight's per-sample gradients to the minibatch
     /// accumulator in lane (= sample) order.
     ///
     /// # Panics
     ///
-    /// Panics if the block is larger than [`LANES`] or a sample's shape
+    /// Panics if the block is larger than `W` or a sample's shape
     /// mismatches the network.
     pub fn accumulate_block(&mut self, mlp: &Mlp, inputs: &[&[f32]], targets: &[&[f32]]) {
-        assert!(inputs.len() <= LANES, "block larger than LANES");
+        assert!(inputs.len() <= W, "block larger than the lane count");
         assert_eq!(
             inputs.len(),
             targets.len(),
@@ -249,64 +61,22 @@ impl BatchScratch {
         let n = inputs.len();
         self.load_inputs(inputs);
         self.forward_loaded(mlp, sigmoid);
-
-        // Output layer delta per lane: (y - t) * y * (1 - y). Idle lanes
-        // keep whatever they compute; they are excluded from accumulation.
-        let out_acts = &self.acts[self.act_off[n_layers - 1] * LANES..];
-        let out_deltas = &mut self.deltas[self.delta_off[n_layers - 2] * LANES..];
-        for (k, (d_blk, y_blk)) in out_deltas
-            .chunks_exact_mut(LANES)
-            .zip(out_acts.chunks_exact(LANES))
-            .enumerate()
-        {
-            for (lane, target) in targets.iter().enumerate() {
-                let y = y_blk[lane];
-                d_blk[lane] = (y - target[k]) * sigmoid_derivative(y);
-            }
-        }
-
-        // Hidden layers, walking backwards; per lane the accumulation over
-        // the next layer stays in neuron (k) order, like the scalar kernel.
-        for l in (1..n_layers - 1).rev() {
-            let n_here = self.layers[l];
-            let n_next = self.layers[l + 1];
-            let matrix = &mlp.weight_matrices()[l];
-            let acts_here = &self.acts[self.act_off[l] * LANES..self.act_off[l + 1] * LANES];
-            let (cur_all, next_all) = self.deltas.split_at_mut(self.delta_off[l] * LANES);
-            let cur = &mut cur_all[self.delta_off[l - 1] * LANES..];
-            let next_delta = &next_all[..n_next * LANES];
-            for (j, d_blk) in cur.chunks_exact_mut(LANES).enumerate().take(n_here) {
-                let mut sum = [0.0f32; LANES];
-                for (row, nd_blk) in matrix
-                    .chunks_exact(n_here + 1)
-                    .zip(next_delta.chunks_exact(LANES))
-                {
-                    let w = row[j];
-                    for (s, &nd) in sum.iter_mut().zip(nd_blk) {
-                        *s += w * nd;
-                    }
-                }
-                for (lane, (d, &s)) in d_blk.iter_mut().zip(sum.iter()).enumerate() {
-                    *d = s * sigmoid_derivative(acts_here[j * LANES + lane]);
-                }
-            }
-        }
+        self.backward_deltas(mlp, targets);
 
         // Gradient accumulation, restricted to live lanes and summed in
         // lane (= sample) order so the minibatch total is bit-identical to
         // an in-order scalar accumulation.
         for l in 0..n_layers - 1 {
             let n_in = self.layers[l];
-            let acts_here = &self.acts[self.act_off[l] * LANES..self.act_off[l + 1] * LANES];
-            let deltas_here =
-                &self.deltas[self.delta_off[l] * LANES..self.delta_off[l + 1] * LANES];
+            let acts_here = &self.acts[self.act_off[l] * W..self.act_off[l + 1] * W];
+            let deltas_here = &self.deltas[self.delta_off[l] * W..self.delta_off[l + 1] * W];
             let grads = &mut self.grads[self.vel_off[l]..self.vel_off[l + 1]];
             for (grow, d_blk) in grads
                 .chunks_exact_mut(n_in + 1)
-                .zip(deltas_here.chunks_exact(LANES))
+                .zip(deltas_here.chunks_exact(W))
             {
                 let (gb, gs) = grow.split_last_mut().expect("row holds bias");
-                for (g, a_blk) in gs.iter_mut().zip(acts_here.chunks_exact(LANES)) {
+                for (g, a_blk) in gs.iter_mut().zip(acts_here.chunks_exact(W)) {
                     for lane in 0..n {
                         *g += d_blk[lane] * a_blk[lane];
                     }
@@ -337,82 +107,12 @@ impl BatchScratch {
     }
 }
 
-/// Mean squared error of `mlp` over `data` via the batched forward kernel.
-/// Bit-identical to [`mse_with`](crate::mse_with): the squared-error total
-/// is accumulated in f64 in sample order, outputs in index order within a
-/// sample, and each sample's forward pass is bit-exact per the lane
-/// contract. Returns 0 for an empty dataset.
-pub fn mse_batch_with(mlp: &Mlp, data: &Dataset, batch: &mut BatchScratch) -> f64 {
-    if data.is_empty() {
-        return 0.0;
-    }
-    batch.ensure_bound(mlp);
-    assert_eq!(
-        data.n_inputs(),
-        mlp.topology().inputs(),
-        "dataset input dims mismatch network"
-    );
-    let n_layers = batch.layers.len();
-    let n_out = batch.layers[n_layers - 1];
-    let mut total = 0.0f64;
-    let mut count = 0usize;
-    let mut inputs: [&[f32]; LANES] = [&[]; LANES];
-    let mut base = 0usize;
-    while base < data.len() {
-        let n = LANES.min(data.len() - base);
-        for (lane, slot) in inputs.iter_mut().enumerate().take(n) {
-            *slot = data.input(base + lane);
-        }
-        batch.load_inputs(&inputs[..n]);
-        batch.forward_loaded(mlp, sigmoid);
-        let out_block = &batch.acts[batch.act_off[n_layers - 1] * LANES..];
-        for lane in 0..n {
-            let target = data.output(base + lane);
-            for (k, &t) in target.iter().enumerate().take(n_out) {
-                let y = out_block[k * LANES + lane];
-                let e = (y - t) as f64;
-                total += e * e;
-                count += 1;
-            }
-        }
-        base += n;
-    }
-    total / count as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{mse_with, Scratch};
+    use crate::scratch::tests::{dataset_for, small_topology};
+    use crate::{mse_with, sigmoid_derivative, Dataset, SigmoidLut, Topology};
     use proptest::prelude::*;
-
-    fn small_topology() -> impl Strategy<Value = Topology> {
-        (
-            1usize..6,
-            proptest::collection::vec(1usize..9, 0..3),
-            1usize..5,
-        )
-            .prop_map(|(inputs, hidden, outputs)| {
-                let mut layers = vec![inputs];
-                layers.extend(hidden);
-                layers.push(outputs);
-                Topology::new(layers).expect("nonzero layers")
-            })
-    }
-
-    fn dataset_for(topology: &Topology, n: usize, salt: u64) -> Dataset {
-        let mut d = Dataset::new(topology.inputs(), topology.outputs());
-        for k in 0..n {
-            let input: Vec<f32> = (0..topology.inputs())
-                .map(|i| ((k as u64 * 31 + i as u64 * 7 + salt) % 97) as f32 / 97.0)
-                .collect();
-            let output: Vec<f32> = (0..topology.outputs())
-                .map(|i| ((k as u64 * 13 + i as u64 * 5 + salt) % 89) as f32 / 89.0)
-                .collect();
-            d.push(&input, &output).unwrap();
-        }
-        d
-    }
 
     /// In-order scalar gradient accumulation at fixed weights: the
     /// reference the batched minibatch kernel must match bit-for-bit.
@@ -429,7 +129,7 @@ mod tests {
         for idx in range {
             let input = data.input(idx);
             let target = data.output(idx);
-            let acts = mlp.activations(input);
+            let acts = mlp.activations(input, sigmoid);
             let n_layers = acts.len();
             let mut deltas: Vec<Vec<f32>> = Vec::with_capacity(n_layers - 1);
             let out = &acts[n_layers - 1];
@@ -475,14 +175,15 @@ mod tests {
         let mlp = Mlp::seeded(t.clone(), 7);
         let data = dataset_for(&t, 21, 3); // 2 full blocks + tail of 5
         let mut batch = BatchScratch::new();
-        let mut scratch = Scratch::new();
+        let mut scratch = Scratch::<1>::new();
         let inputs: Vec<&[f32]> = (0..data.len()).map(|i| data.input(i)).collect();
         let mut out = vec![0.0f32; LANES];
+        let mut reference = [0.0f32; 1];
         for chunk in inputs.chunks(LANES) {
-            batch.forward_block(&mlp, chunk, &mut out);
+            batch.forward_block(&mlp, chunk, &mut out, sigmoid);
             for (lane, input) in chunk.iter().enumerate() {
-                let reference = scratch.forward(&mlp, input).to_vec();
-                assert_eq!(&out[lane..lane + 1], &reference[..]);
+                scratch.forward_block(&mlp, &[input], &mut reference, sigmoid);
+                assert_eq!(out[lane].to_bits(), reference[0].to_bits());
             }
         }
     }
@@ -497,17 +198,18 @@ mod tests {
         let inputs: Vec<&[f32]> = (0..data.len()).map(|i| data.input(i)).collect();
         for chunk in inputs.chunks(LANES) {
             let mut out = vec![0.0f32; chunk.len()];
-            batch.forward_block_lut(&mlp, chunk, &mut out, &lut);
+            batch.forward_block(&mlp, chunk, &mut out, |x| lut.eval(x));
             for (lane, input) in chunk.iter().enumerate() {
-                let reference = mlp.feed_forward_lut(input, &lut);
-                assert_eq!(out[lane], reference[0]);
+                // The naive forward with the LUT as its activation.
+                let reference = mlp.activations(input, |x| lut.eval(x)).pop().unwrap();
+                assert_eq!(out[lane].to_bits(), reference[0].to_bits());
             }
         }
     }
 
     proptest! {
         /// Batched forward is bit-exact per sample against the scalar
-        /// oracle for every batch size, including remainder tails.
+        /// `Scratch<1>` walk for every batch size, including remainder tails.
         #[test]
         fn batched_forward_is_bit_exact(
             topology in small_topology(),
@@ -517,20 +219,24 @@ mod tests {
             let mlp = Mlp::seeded(topology.clone(), seed);
             let data = dataset_for(&topology, n_samples, seed);
             let mut batch = BatchScratch::new();
-            let mut scratch = Scratch::for_topology(&topology);
+            let mut scratch = Scratch::<1>::for_topology(&topology);
             let n_out = topology.outputs();
             let inputs: Vec<&[f32]> = (0..data.len()).map(|i| data.input(i)).collect();
             let mut out = vec![0.0f32; LANES * n_out];
+            let mut reference = vec![0.0f32; n_out];
             for chunk in inputs.chunks(LANES) {
-                batch.forward_block(&mlp, chunk, &mut out);
+                batch.forward_block(&mlp, chunk, &mut out, sigmoid);
                 for (lane, input) in chunk.iter().enumerate() {
-                    let reference = scratch.forward(&mlp, input);
-                    prop_assert_eq!(&out[lane * n_out..(lane + 1) * n_out], reference);
+                    scratch.forward_block(&mlp, &[input], &mut reference, sigmoid);
+                    prop_assert_eq!(
+                        out[lane * n_out..(lane + 1) * n_out].iter().map(|y| y.to_bits()).collect::<Vec<_>>(),
+                        reference.iter().map(|y| y.to_bits()).collect::<Vec<_>>()
+                    );
                 }
             }
         }
 
-        /// Batched MSE is bit-exact against the scalar `mse_with` for
+        /// Batched MSE is bit-exact against the per-sample `mse_with` for
         /// every dataset size (tails included).
         #[test]
         fn batched_mse_is_bit_exact(
@@ -541,9 +247,9 @@ mod tests {
             let mlp = Mlp::seeded(topology.clone(), seed);
             let data = dataset_for(&topology, n_samples, seed);
             let mut batch = BatchScratch::new();
-            let mut scratch = Scratch::new();
+            let mut scratch = Scratch::<1>::new();
             let a = mse_with(&mlp, &data, &mut scratch);
-            let b = mse_batch_with(&mlp, &data, &mut batch);
+            let b = mse_with(&mlp, &data, &mut batch);
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
 
@@ -589,10 +295,10 @@ mod tests {
             let m1 = Mlp::seeded(t1.clone(), seed);
             let m2 = Mlp::seeded(t2.clone(), seed);
             let mut shared = BatchScratch::new();
-            let _ = mse_batch_with(&m1, &d1, &mut shared);
-            let via_shared = mse_batch_with(&m2, &d2, &mut shared);
+            let _ = mse_with(&m1, &d1, &mut shared);
+            let via_shared = mse_with(&m2, &d2, &mut shared);
             let mut fresh = BatchScratch::new();
-            let via_fresh = mse_batch_with(&m2, &d2, &mut fresh);
+            let via_fresh = mse_with(&m2, &d2, &mut fresh);
             prop_assert_eq!(via_shared.to_bits(), via_fresh.to_bits());
         }
     }
@@ -601,7 +307,7 @@ mod tests {
     /// closed-form two-step momentum recurrence on the accumulated grads.
     #[test]
     fn apply_update_carries_momentum() {
-        let t = Topology::new(vec![2, 2, 1]).unwrap();
+        let t = crate::Topology::new(vec![2, 2, 1]).unwrap();
         let mlp0 = Mlp::seeded(t.clone(), 1);
         let data = dataset_for(&t, 6, 9);
         let (lr, mu) = (0.05f32, 0.9f32);

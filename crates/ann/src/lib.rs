@@ -47,7 +47,7 @@ mod topology;
 mod train;
 
 pub use activation::{sigmoid, sigmoid_derivative, SigmoidLut};
-pub use batch::{mse_batch_with, BatchScratch, LANES};
+pub use batch::{BatchScratch, LANES};
 pub use dataset::Dataset;
 pub use error::AnnError;
 pub use mlp::Mlp;

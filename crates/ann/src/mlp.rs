@@ -1,6 +1,6 @@
 //! The multilayer perceptron itself.
 
-use crate::{sigmoid, SigmoidLut, Topology};
+use crate::{sigmoid, Topology};
 use rand::Rng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -103,51 +103,30 @@ impl Mlp {
         &mut self.weights
     }
 
-    /// Evaluates the network on a normalized input vector.
+    /// Evaluates the network on a normalized input vector with the exact
+    /// sigmoid: the last layer of [`activations`](Self::activations).
     ///
     /// # Panics
     ///
     /// Panics if `input.len()` does not match the input layer size.
     pub fn feed_forward(&self, input: &[f32]) -> Vec<f32> {
-        self.feed_forward_with(input, sigmoid)
-    }
-
-    /// Evaluates the network using a hardware-style quantized sigmoid LUT.
-    ///
-    /// This is the arithmetic the digital NPU performs; tests compare it
-    /// against [`feed_forward`](Self::feed_forward) to bound quantization
-    /// error.
-    pub fn feed_forward_lut(&self, input: &[f32], lut: &SigmoidLut) -> Vec<f32> {
-        self.feed_forward_with(input, |x| lut.eval(x))
-    }
-
-    fn feed_forward_with(&self, input: &[f32], act: impl Fn(f32) -> f32) -> Vec<f32> {
-        assert_eq!(
-            input.len(),
-            self.topology.inputs(),
-            "input vector size mismatch"
-        );
-        let mut current = input.to_vec();
-        for (l, matrix) in self.weights.iter().enumerate() {
-            let n_in = self.topology.layers()[l];
-            let n_out = self.topology.layers()[l + 1];
-            let mut next = Vec::with_capacity(n_out);
-            for neuron in 0..n_out {
-                let row = &matrix[neuron * (n_in + 1)..(neuron + 1) * (n_in + 1)];
-                let mut sum = row[n_in]; // bias
-                for (w, x) in row[..n_in].iter().zip(&current) {
-                    sum += w * x;
-                }
-                next.push(act(sum));
-            }
-            current = next;
-        }
-        current
+        self.activations(input, sigmoid)
+            .pop()
+            .expect("a topology has an output layer")
     }
 
     /// Evaluates the network and returns the activations of **every** layer
-    /// (input layer first). Used by backpropagation.
-    pub fn activations(&self, input: &[f32]) -> Vec<Vec<f32>> {
+    /// (input layer first), applying `act` (`ann::sigmoid`, or
+    /// `|x| lut.eval(x)` for the NPU's table) to each neuron's weighted sum.
+    ///
+    /// This is the naive reference: one allocation per layer, one neuron at
+    /// a time. The allocation-free kernel ([`crate::Scratch`]) must match
+    /// it bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input.len()` does not match the input layer size.
+    pub fn activations(&self, input: &[f32], act: impl Fn(f32) -> f32) -> Vec<Vec<f32>> {
         assert_eq!(
             input.len(),
             self.topology.inputs(),
@@ -162,11 +141,11 @@ impl Mlp {
             let mut next = Vec::with_capacity(n_out);
             for neuron in 0..n_out {
                 let row = &matrix[neuron * (n_in + 1)..(neuron + 1) * (n_in + 1)];
-                let mut sum = row[n_in];
+                let mut sum = row[n_in]; // bias
                 for (w, x) in row[..n_in].iter().zip(prev) {
                     sum += w * x;
                 }
-                next.push(sigmoid(sum));
+                next.push(act(sum));
             }
             acts.push(next);
         }
@@ -203,7 +182,7 @@ mod tests {
     #[test]
     fn activations_include_all_layers() {
         let mlp = tiny();
-        let acts = mlp.activations(&[1.0, 0.0]);
+        let acts = mlp.activations(&[1.0, 0.0], sigmoid);
         assert_eq!(acts.len(), 3);
         assert_eq!(acts[0], vec![1.0, 0.0]);
         assert_eq!(acts[2].len(), 1);
@@ -215,10 +194,10 @@ mod tests {
     fn lut_forward_close_to_exact() {
         let t = Topology::new(vec![3, 8, 2]).unwrap();
         let mlp = Mlp::seeded(t, 7);
-        let lut = SigmoidLut::default();
+        let lut = crate::SigmoidLut::default();
         let input = [0.2, 0.9, 0.4];
         let exact = mlp.feed_forward(&input);
-        let quant = mlp.feed_forward_lut(&input, &lut);
+        let quant = mlp.activations(&input, |x| lut.eval(x)).pop().unwrap();
         for (a, b) in exact.iter().zip(&quant) {
             assert!((a - b).abs() < 5e-3);
         }

@@ -248,7 +248,7 @@ impl QuantScratch {
 ///   then rescaled (round-to-nearest) and **saturated** onto the datapath
 ///   accumulator format before the fixed-point sigmoid LUT.
 ///
-/// The f32 network is the oracle: `forward` on the same normalized inputs
+/// The f32 network is the oracle: `forward_with` on the same normalized inputs
 /// approximates [`Mlp::feed_forward`], with error set by the storage width
 /// and the LUT — the quantity the error-vs-bitwidth experiment sweeps.
 #[derive(Debug, Clone, PartialEq)]
@@ -376,15 +376,6 @@ impl QuantizedMlp {
         output.clear();
         output.extend(scratch.a.iter().map(|&c| self.act_fmt.dequantize(c)));
         trace
-    }
-
-    /// Allocating convenience wrapper around
-    /// [`forward_with`](Self::forward_with).
-    pub fn forward(&self, input: &[f32]) -> Vec<f32> {
-        let mut scratch = QuantScratch::new();
-        let mut out = Vec::new();
-        self.forward_with(input, &mut scratch, &mut out);
-        out
     }
 
     /// The topology this network was quantized from.

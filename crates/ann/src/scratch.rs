@@ -1,65 +1,87 @@
-//! Reusable training scratch buffers: allocation-free forward and fused
-//! forward+backward kernels.
+//! The MLP evaluation kernel: one lane-generic forward walk and one
+//! backward delta pass over reusable, allocation-free scratch buffers.
 //!
-//! The topology search trains 30 candidate networks by per-sample SGD, so
-//! the inner kernels run hundreds of millions of times per sweep. The naive
-//! kernels ([`Mlp::activations`] and the original per-weight update loop)
-//! allocate a `Vec<Vec<f32>>` per sample; [`Scratch`] owns flat activation,
-//! delta, and velocity buffers sized once per topology and reused across
-//! samples, epochs, and candidates.
+//! The topology search trains 30 candidate networks, so these kernels run
+//! hundreds of millions of times per sweep. [`Scratch<W>`] owns flat
+//! activation, delta, gradient and velocity buffers sized once per
+//! topology and reused across samples, epochs and candidates, and walks
+//! each weight matrix once per `W` samples. Activations are stored
+//! *lane-major* (`[layer][neuron][lane]`, one contiguous `[f32; W]` block
+//! per neuron), so the inner loops are fixed-width lane arrays the stable
+//! compiler autovectorizes — no nightly `std::simd`. `Scratch<1>` is the
+//! per-sample kernel (its layout is the plain concatenation of the layer
+//! activations) and `Scratch<LANES>` ([`crate::BatchScratch`]) the
+//! batched one; both are this one piece of code.
 //!
-//! **Bit-exactness contract:** every kernel here performs the identical
-//! floating-point operations in the identical order as the naive reference
-//! (`sum` starts from the bias, inputs accumulate in index order, hidden
-//! deltas accumulate over the next layer in neuron order, and velocity
-//! updates apply `v = µ·v − lr·δ·a; w += v` weight-then-bias per row).
-//! Trained weights must be byte-identical to the pre-scratch implementation
-//! — the harness artifact cache and every golden test depend on it. The
-//! `#[cfg(test)]` module below keeps the naive kernels alive as the
-//! reference the proptests compare against.
+//! **Bit-exactness contract:** every lane performs the identical scalar
+//! operation sequence as the naive reference ([`Mlp::activations`]): each
+//! neuron's sum starts from the bias and accumulates inputs in index
+//! order, with no horizontal reassociation, and hidden deltas accumulate
+//! over the next layer in neuron order. A sample's outputs, MSE
+//! contribution and deltas are therefore bit-identical at every width,
+//! batch size and tail position. Trained weights must stay byte-identical
+//! — the harness artifact cache and every golden test depend on it.
+//!
+//! The forward walk and the delta pass are shared; the two weight-update
+//! rules are not, because they round differently:
+//! * per-sample SGD ([`Scratch::backprop_one`], `W = 1`) applies
+//!   `v = µ·v − lr·δ·a; w += v` after every sample;
+//! * minibatch training ([`Scratch::accumulate_block`] +
+//!   [`Scratch::apply_update`], in `batch.rs`) sums `δ·a` over the
+//!   minibatch in sample order, then applies `v = µ·v − lr·G; w += v`.
+//!
+//! Folding one rule into the other would change which products get
+//! rounded, and with them every trained weight.
 
-use crate::{sigmoid, sigmoid_derivative, Mlp, SigmoidLut, Topology};
+use crate::{sigmoid, sigmoid_derivative, Dataset, Mlp, Topology};
 
-/// Flat, reusable buffers for forward evaluation and backpropagation.
+/// Flat, reusable lane-major buffers for forward evaluation and
+/// backpropagation of up to `W` samples per weight-matrix walk.
 ///
-/// A `Scratch` binds lazily to a topology on first use and rebinds (cheaply
-/// when shapes match) whenever it is handed a network of a different shape,
-/// so one instance per worker thread serves an entire topology search.
+/// A scratch binds lazily to a topology on first use and rebinds (cheaply
+/// when shapes match) whenever it is handed a network of a different
+/// shape, so one instance per worker thread serves an entire topology
+/// search.
 #[derive(Debug, Clone, Default)]
-pub struct Scratch {
+pub struct Scratch<const W: usize = 1> {
     /// Layer sizes this scratch is currently bound to (empty = unbound).
-    layers: Vec<usize>,
-    /// All layers' activations, input layer first, concatenated.
-    acts: Vec<f32>,
-    /// `acts` offsets: layer `l` occupies `acts[act_off[l]..act_off[l+1]]`.
-    act_off: Vec<usize>,
-    /// Per-neuron `dE/dnet` for every computing layer, concatenated.
-    deltas: Vec<f32>,
-    /// `deltas` offsets per computing layer (0 = first hidden).
-    delta_off: Vec<usize>,
-    /// Momentum state, one entry per weight, concatenated per layer matrix.
-    velocity: Vec<f32>,
-    /// `velocity` offsets per weight matrix.
-    vel_off: Vec<usize>,
+    pub(crate) layers: Vec<usize>,
+    /// Lane-major activations: neuron `j` of layer `l` occupies
+    /// `acts[(act_off[l] + j) * W..][..W]`.
+    pub(crate) acts: Vec<f32>,
+    /// Neuron offsets per layer (multiply by `W` for buffer offsets).
+    pub(crate) act_off: Vec<usize>,
+    /// Lane-major `dE/dnet` per computing layer.
+    pub(crate) deltas: Vec<f32>,
+    /// Neuron offsets per computing layer (0 = first hidden).
+    pub(crate) delta_off: Vec<usize>,
+    /// Accumulated minibatch gradient, one entry per weight, laid out
+    /// exactly like the concatenated weight matrices.
+    pub(crate) grads: Vec<f32>,
+    /// Momentum state, same layout as `grads`.
+    pub(crate) velocity: Vec<f32>,
+    /// `grads`/`velocity` offsets per weight matrix.
+    pub(crate) vel_off: Vec<usize>,
 }
 
-impl Scratch {
+impl<const W: usize> Scratch<W> {
     /// Creates an unbound scratch; it sizes itself on first use.
     pub fn new() -> Self {
-        Scratch::default()
+        Self::default()
     }
 
     /// Creates a scratch pre-sized for `topology`.
     pub fn for_topology(topology: &Topology) -> Self {
-        let mut s = Scratch::new();
+        let mut s = Self::new();
         s.bind(topology);
         s
     }
 
-    /// (Re)binds the buffers to `topology`, zeroing the velocity state.
-    /// A no-op shape-wise when already bound to the same layer sizes, but
-    /// the velocity reset always happens — each training run starts from
-    /// zero momentum, exactly like a freshly allocated velocity vector.
+    /// (Re)binds the buffers to `topology`, zeroing the gradient and
+    /// velocity state. A no-op shape-wise when already bound to the same
+    /// layer sizes, but the reset always happens — each training run
+    /// starts from zero momentum, exactly like a freshly allocated
+    /// velocity vector.
     pub fn bind(&mut self, topology: &Topology) {
         if self.layers != topology.layers() {
             self.layers.clear();
@@ -80,78 +102,175 @@ impl Scratch {
                 self.vel_off
                     .push(self.vel_off.last().unwrap() + (w[0] + 1) * w[1]);
             }
-            self.acts.resize(*self.act_off.last().unwrap(), 0.0);
-            self.deltas.resize(*self.delta_off.last().unwrap(), 0.0);
+            self.acts.resize(self.act_off.last().unwrap() * W, 0.0);
+            self.deltas.resize(self.delta_off.last().unwrap() * W, 0.0);
+            self.grads.resize(*self.vel_off.last().unwrap(), 0.0);
             self.velocity.resize(*self.vel_off.last().unwrap(), 0.0);
         }
+        self.grads.fill(0.0);
         self.velocity.fill(0.0);
     }
 
-    /// Forward pass storing every layer's activations, returning the output
-    /// layer. Performs the same arithmetic as [`Mlp::feed_forward`] /
-    /// [`Mlp::activations`] with zero allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len()` does not match the network's input layer.
-    pub fn forward(&mut self, mlp: &Mlp, input: &[f32]) -> &[f32] {
+    /// Binds to `mlp`'s topology unless already bound to it. Unlike
+    /// [`bind`](Self::bind) this keeps the momentum state, which the
+    /// trainer relies on when it samples the MSE mid-training.
+    pub(crate) fn ensure_bound(&mut self, mlp: &Mlp) {
         if self.layers != mlp.topology().layers() {
             self.bind(mlp.topology());
         }
-        assert_eq!(input.len(), self.layers[0], "input vector size mismatch");
-        self.forward_bound(mlp, input)
     }
 
-    /// [`forward`](Self::forward) with the NPU's sigmoid LUT: the same
-    /// arithmetic as [`Mlp::feed_forward_lut`] with zero allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len()` does not match the network's input layer.
-    pub fn forward_lut(&mut self, mlp: &Mlp, input: &[f32], lut: &SigmoidLut) -> &[f32] {
-        if self.layers != mlp.topology().layers() {
-            self.bind(mlp.topology());
+    /// Loads up to `W` sample inputs into the lane-major input layer.
+    /// A partial block zeroes its idle lanes first: they would otherwise
+    /// carry the previous block's values through the walk. They are never
+    /// read back, but zeroing keeps every lane's arithmetic finite and the
+    /// buffers deterministic.
+    pub(crate) fn load_inputs(&mut self, inputs: &[&[f32]]) {
+        let n_in = self.layers[0];
+        let block = &mut self.acts[..n_in * W];
+        if inputs.len() < W {
+            block.fill(0.0);
         }
-        assert_eq!(input.len(), self.layers[0], "input vector size mismatch");
-        self.forward_bound_with(mlp, input, |x| lut.eval(x))
+        for (lane, input) in inputs.iter().enumerate() {
+            debug_assert_eq!(input.len(), n_in);
+            for (j, &x) in input.iter().enumerate() {
+                block[j * W + lane] = x;
+            }
+        }
     }
 
-    /// [`forward`](Self::forward) minus the per-call shape checks: callers
-    /// (the training and MSE loops) validate once per dataset, not once
-    /// per sample.
-    fn forward_bound(&mut self, mlp: &Mlp, input: &[f32]) -> &[f32] {
-        self.forward_bound_with(mlp, input, sigmoid)
-    }
-
-    fn forward_bound_with(&mut self, mlp: &Mlp, input: &[f32], act: impl Fn(f32) -> f32) -> &[f32] {
+    /// The forward walk: one pass over each weight matrix computes all
+    /// lanes. Per lane the arithmetic is `sum = bias; sum += w_i * x_i` in
+    /// index order, then `act(sum)`.
+    pub(crate) fn forward_loaded(&mut self, mlp: &Mlp, act: impl Fn(f32) -> f32 + Copy) {
         debug_assert_eq!(self.layers, mlp.topology().layers());
-        debug_assert_eq!(input.len(), self.layers[0]);
-        self.acts[..input.len()].copy_from_slice(input);
         for (l, matrix) in mlp.weight_matrices().iter().enumerate() {
             let n_in = self.layers[l];
             let n_out = self.layers[l + 1];
             // The next layer's slot starts exactly where the current one
             // ends, so one split gives disjoint read/write views.
-            let (prev_all, next_all) = self.acts.split_at_mut(self.act_off[l + 1]);
-            let prev = &prev_all[self.act_off[l]..];
-            let next = &mut next_all[..n_out];
-            for (row, out) in matrix.chunks_exact(n_in + 1).zip(next.iter_mut()) {
+            let (prev_all, next_all) = self.acts.split_at_mut(self.act_off[l + 1] * W);
+            let prev = &prev_all[self.act_off[l] * W..];
+            let next = &mut next_all[..n_out * W];
+            for (row, out) in matrix.chunks_exact(n_in + 1).zip(next.chunks_exact_mut(W)) {
                 let (bias, ws) = row.split_last().expect("row holds bias");
-                let mut sum = *bias;
-                for (w, x) in ws.iter().zip(prev) {
-                    sum += w * x;
+                let mut sum = [*bias; W];
+                for (x_blk, &w) in prev.chunks_exact(W).zip(ws) {
+                    for (s, &xv) in sum.iter_mut().zip(x_blk) {
+                        *s += w * xv;
+                    }
                 }
-                *out = act(sum);
+                for (o, &s) in out.iter_mut().zip(&sum) {
+                    *o = act(s);
+                }
             }
         }
-        &self.acts[self.act_off[self.layers.len() - 1]..]
     }
 
-    /// One fused forward+backward SGD step with momentum for a single
-    /// sample: the scratch's velocity state carries across calls.
+    /// The output layer's lane-major activations: output `k` of lane
+    /// `lane` is at `[k * W + lane]`.
+    fn output_block(&self) -> &[f32] {
+        &self.acts[self.act_off[self.layers.len() - 1] * W..]
+    }
+
+    /// Forward-evaluates one block of up to `W` samples with `act` as the
+    /// activation (`ann::sigmoid`, or `|x| lut.eval(x)` for the NPU's
+    /// table), writing sample-major outputs (`inputs.len() × n_out`) into
+    /// `outputs`. Each sample's outputs are bit-identical to the naive
+    /// [`Mlp::activations`] with the same activation, at every width.
     ///
-    /// Row-slice weight updates replace the naive per-weight indexing; the
-    /// arithmetic order is identical to the retained reference.
+    /// # Panics
+    ///
+    /// Panics if `inputs` holds more than `W` samples, an input has the
+    /// wrong width, or `outputs` is shorter than `inputs.len() * n_out`.
+    pub fn forward_block(
+        &mut self,
+        mlp: &Mlp,
+        inputs: &[&[f32]],
+        outputs: &mut [f32],
+        act: impl Fn(f32) -> f32 + Copy,
+    ) {
+        assert!(inputs.len() <= W, "block larger than the lane count");
+        self.ensure_bound(mlp);
+        for input in inputs {
+            assert_eq!(input.len(), self.layers[0], "input vector size mismatch");
+        }
+        let n_out = mlp.topology().outputs();
+        assert!(
+            outputs.len() >= inputs.len() * n_out,
+            "output buffer too small"
+        );
+        self.load_inputs(inputs);
+        self.forward_loaded(mlp, act);
+        let out_block = self.output_block();
+        for lane in 0..inputs.len() {
+            for k in 0..n_out {
+                outputs[lane * n_out + k] = out_block[k * W + lane];
+            }
+        }
+    }
+
+    /// The backward delta pass over the loaded block: the output deltas
+    /// `(y - t)·y·(1 - y)` for the lanes in `targets`, then the hidden
+    /// deltas walking backwards, each lane accumulating over the next
+    /// layer in neuron order. Idle lanes keep whatever they compute; the
+    /// update rules never read them.
+    pub(crate) fn backward_deltas(&mut self, mlp: &Mlp, targets: &[&[f32]]) {
+        let n_layers = self.layers.len();
+        let out_acts = &self.acts[self.act_off[n_layers - 1] * W..];
+        let out_deltas = &mut self.deltas[self.delta_off[n_layers - 2] * W..];
+        for (k, (d_blk, y_blk)) in out_deltas
+            .chunks_exact_mut(W)
+            .zip(out_acts.chunks_exact(W))
+            .enumerate()
+        {
+            for (lane, target) in targets.iter().enumerate() {
+                let y = y_blk[lane];
+                d_blk[lane] = (y - target[k]) * sigmoid_derivative(y);
+            }
+        }
+
+        // Computing layer `l - 1` feeds computing layer `l`; splitting
+        // `deltas` at the boundary yields the current (write) and next
+        // (read) slices disjointly.
+        for l in (1..n_layers - 1).rev() {
+            let n_here = self.layers[l];
+            let n_next = self.layers[l + 1];
+            let matrix = &mlp.weight_matrices()[l];
+            let acts_here = &self.acts[self.act_off[l] * W..self.act_off[l + 1] * W];
+            let (cur_all, next_all) = self.deltas.split_at_mut(self.delta_off[l] * W);
+            let cur = &mut cur_all[self.delta_off[l - 1] * W..];
+            let next_delta = &next_all[..n_next * W];
+            for (j, (d_blk, a_blk)) in cur
+                .chunks_exact_mut(W)
+                .zip(acts_here.chunks_exact(W))
+                .enumerate()
+            {
+                // Row k holds the weights into neuron k of layer l + 1.
+                let mut sum = [0.0f32; W];
+                for (row, nd_blk) in matrix
+                    .chunks_exact(n_here + 1)
+                    .zip(next_delta.chunks_exact(W))
+                {
+                    let w = row[j];
+                    for (s, &nd) in sum.iter_mut().zip(nd_blk) {
+                        *s += w * nd;
+                    }
+                }
+                for ((d, &s), &a) in d_blk.iter_mut().zip(&sum).zip(a_blk) {
+                    *d = s * sigmoid_derivative(a);
+                }
+            }
+        }
+    }
+}
+
+impl Scratch<1> {
+    /// One fused forward+backward SGD step with momentum for a single
+    /// sample: `v = µ·v − lr·δ·a; w += v`, weight-then-bias per row. The
+    /// scratch's velocity state carries across calls. The caller has bound
+    /// the scratch to `mlp` and checked the sample's shape
+    /// ([`crate::Trainer`] does both once per dataset).
     pub(crate) fn backprop_one(
         &mut self,
         mlp: &mut Mlp,
@@ -160,57 +279,9 @@ impl Scratch {
         lr: f32,
         mu: f32,
     ) {
-        if self.layers != mlp.topology().layers() {
-            self.bind(mlp.topology());
-        }
-        assert_eq!(input.len(), self.layers[0], "input vector size mismatch");
-        self.backprop_one_bound(mlp, input, target, lr, mu);
-    }
-
-    /// [`backprop_one`](Self::backprop_one) minus the per-call shape
-    /// checks; [`crate::Trainer::train_with`] validates once up front.
-    pub(crate) fn backprop_one_bound(
-        &mut self,
-        mlp: &mut Mlp,
-        input: &[f32],
-        target: &[f32],
-        lr: f32,
-        mu: f32,
-    ) {
-        self.forward_bound(mlp, input);
-        let n_layers = self.layers.len();
-
-        // Output layer delta: (y - t) * y * (1 - y).
-        let out_acts = &self.acts[self.act_off[n_layers - 1]..];
-        let out_deltas = &mut self.deltas[self.delta_off[n_layers - 2]..];
-        for ((d, &y), &t) in out_deltas.iter_mut().zip(out_acts).zip(target) {
-            *d = (y - t) * sigmoid_derivative(y);
-        }
-
-        // Hidden layers, walking backwards. Computing layer `l - 1` feeds
-        // computing layer `l`; splitting `deltas` at the boundary yields
-        // the current (write) and next (read) slices disjointly.
-        for l in (1..n_layers - 1).rev() {
-            let n_here = self.layers[l];
-            let n_next = self.layers[l + 1];
-            let matrix = &mlp.weight_matrices()[l];
-            let acts_here = &self.acts[self.act_off[l]..self.act_off[l + 1]];
-            let (cur_all, next_all) = self.deltas.split_at_mut(self.delta_off[l]);
-            let cur = &mut cur_all[self.delta_off[l - 1]..];
-            let next_delta = &next_all[..n_next];
-            for (j, d) in cur.iter_mut().enumerate().take(n_here) {
-                let mut sum = 0.0;
-                // Row k holds the weights into neuron k of layer l + 1;
-                // accumulation stays in k order.
-                for (row, &nd) in matrix.chunks_exact(n_here + 1).zip(next_delta) {
-                    sum += row[j] * nd;
-                }
-                *d = sum * sigmoid_derivative(acts_here[j]);
-            }
-        }
-
-        // Apply updates with momentum, one contiguous row per neuron:
-        //   v = momentum * v - lr * delta * activation; w += v.
+        self.load_inputs(&[input]);
+        self.forward_loaded(mlp, sigmoid);
+        self.backward_deltas(mlp, &[target]);
         for (l, matrix) in mlp.weight_matrices_mut().iter_mut().enumerate() {
             let n_in = self.layers[l];
             let acts_here = &self.acts[self.act_off[l]..self.act_off[l + 1]];
@@ -232,40 +303,47 @@ impl Scratch {
     }
 }
 
-/// Mean squared error of `mlp` over `data` using `scratch` for the forward
-/// passes (allocation-free; bit-identical to [`crate::mse`]).
-pub fn mse_with(mlp: &Mlp, data: &crate::Dataset, scratch: &mut Scratch) -> f64 {
+/// Mean squared error of `mlp` over `data`, `W` samples per forward walk.
+/// The squared-error total is accumulated in f64 in sample order, outputs
+/// in index order within a sample, so the result is bit-identical at
+/// every width. Returns 0 for an empty dataset.
+pub fn mse_with<const W: usize>(mlp: &Mlp, data: &Dataset, scratch: &mut Scratch<W>) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
-    // Validate once per dataset; the per-sample loop skips the checks.
-    // NOTE: this must not call `bind` when already bound — `bind` zeroes
-    // the momentum state, and the trainer samples MSE mid-training.
-    if scratch.layers != mlp.topology().layers() {
-        scratch.bind(mlp.topology());
-    }
+    scratch.ensure_bound(mlp);
     assert_eq!(
         data.n_inputs(),
         mlp.topology().inputs(),
         "dataset input dims mismatch network"
     );
+    let n_out = mlp.topology().outputs();
     let mut total = 0.0f64;
     let mut count = 0usize;
-    for (input, target) in data.iter() {
-        let out = scratch.forward_bound(mlp, input);
-        for (&y, &t) in out.iter().zip(target) {
-            let e = (y - t) as f64;
-            total += e * e;
-            count += 1;
+    let mut inputs: [&[f32]; W] = [&[]; W];
+    for base in (0..data.len()).step_by(W) {
+        let n = W.min(data.len() - base);
+        for (lane, slot) in inputs.iter_mut().enumerate().take(n) {
+            *slot = data.input(base + lane);
+        }
+        scratch.load_inputs(&inputs[..n]);
+        scratch.forward_loaded(mlp, sigmoid);
+        let out_block = scratch.output_block();
+        for lane in 0..n {
+            for (k, &t) in data.output(base + lane).iter().enumerate().take(n_out) {
+                let e = (out_block[k * W + lane] - t) as f64;
+                total += e * e;
+                count += 1;
+            }
         }
     }
     total / count as f64
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::{Dataset, Topology};
+    use crate::{SigmoidLut, LANES};
     use proptest::prelude::*;
 
     /// The pre-scratch backpropagation step, kept verbatim as the bit-exact
@@ -278,7 +356,7 @@ mod tests {
         lr: f32,
         mu: f32,
     ) {
-        let acts = mlp.activations(input);
+        let acts = mlp.activations(input, sigmoid);
         let n_layers = acts.len();
         let mut deltas: Vec<Vec<f32>> = Vec::with_capacity(n_layers - 1);
 
@@ -323,7 +401,7 @@ mod tests {
         }
     }
 
-    /// The pre-scratch MSE, kept as the bit-exact reference.
+    /// The naive MSE over the naive forward: the bit-exact reference.
     fn naive_mse(mlp: &Mlp, data: &Dataset) -> f64 {
         if data.is_empty() {
             return 0.0;
@@ -341,7 +419,7 @@ mod tests {
         total / count as f64
     }
 
-    fn small_topology() -> impl Strategy<Value = Topology> {
+    pub(crate) fn small_topology() -> impl Strategy<Value = Topology> {
         (
             1usize..6,
             proptest::collection::vec(1usize..9, 0..3),
@@ -355,7 +433,7 @@ mod tests {
             })
     }
 
-    fn dataset_for(topology: &Topology, n: usize, salt: u64) -> Dataset {
+    pub(crate) fn dataset_for(topology: &Topology, n: usize, salt: u64) -> Dataset {
         let mut d = Dataset::new(topology.inputs(), topology.outputs());
         for k in 0..n {
             let input: Vec<f32> = (0..topology.inputs())
@@ -369,6 +447,38 @@ mod tests {
         d
     }
 
+    /// Every sample of `data`, forwarded `W` at a time through `scratch`
+    /// with `act`, equals the naive oracle bit for bit.
+    fn check_forward<const W: usize>(
+        scratch: &mut Scratch<W>,
+        mlp: &Mlp,
+        data: &Dataset,
+        act: impl Fn(f32) -> f32 + Copy,
+    ) -> Result<(), TestCaseError> {
+        let n_out = mlp.topology().outputs();
+        let inputs: Vec<&[f32]> = (0..data.len()).map(|i| data.input(i)).collect();
+        let mut out = vec![f32::NAN; W * n_out];
+        for chunk in inputs.chunks(W) {
+            scratch.forward_block(mlp, chunk, &mut out, act);
+            for (lane, input) in chunk.iter().enumerate() {
+                let want = mlp.activations(input, act).pop().unwrap();
+                let got = &out[lane * n_out..][..n_out];
+                prop_assert_eq!(
+                    got.iter().map(|y| y.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|y| y.to_bits()).collect::<Vec<_>>()
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Forwards one sample through a per-sample scratch.
+    fn forward_one(scratch: &mut Scratch<1>, mlp: &Mlp, input: &[f32]) -> Vec<f32> {
+        let mut out = vec![f32::NAN; mlp.topology().outputs()];
+        scratch.forward_block(mlp, &[input], &mut out, sigmoid);
+        out
+    }
+
     #[test]
     fn forward_matches_feed_forward_bitwise() {
         let t = Topology::new(vec![9, 8, 4, 1]).unwrap();
@@ -376,7 +486,10 @@ mod tests {
         let mut scratch = Scratch::new();
         for k in 0..20 {
             let input: Vec<f32> = (0..9).map(|i| ((k * 11 + i) % 13) as f32 / 13.0).collect();
-            assert_eq!(scratch.forward(&mlp, &input), &mlp.feed_forward(&input)[..]);
+            assert_eq!(
+                forward_one(&mut scratch, &mlp, &input),
+                mlp.feed_forward(&input)
+            );
         }
     }
 
@@ -387,16 +500,49 @@ mod tests {
         let mut scratch = Scratch::for_topology(&small);
         let mlp = Mlp::seeded(big.clone(), 1);
         let input: Vec<f32> = (0..9).map(|i| i as f32 / 9.0).collect();
-        assert_eq!(scratch.forward(&mlp, &input), &mlp.feed_forward(&input)[..]);
+        assert_eq!(
+            forward_one(&mut scratch, &mlp, &input),
+            mlp.feed_forward(&input)
+        );
         // And back down.
         let mlp2 = Mlp::seeded(small, 2);
         assert_eq!(
-            scratch.forward(&mlp2, &[0.25, 0.75]),
-            &mlp2.feed_forward(&[0.25, 0.75])[..]
+            forward_one(&mut scratch, &mlp2, &[0.25, 0.75]),
+            mlp2.feed_forward(&[0.25, 0.75])
         );
     }
 
     proptest! {
+        /// The bit-exactness matrix: `Scratch<1>` and `Scratch<LANES>` ×
+        /// {exact sigmoid, hardware LUT} × random topology and sample
+        /// count (full blocks and every tail position) against the naive
+        /// oracle, plus `mse_with` at both widths against the naive MSE.
+        /// The scratches are first bound to an unrelated topology, so
+        /// every case also rebinds them (up or down in size).
+        #[test]
+        fn scratch_forward_and_mse_are_bit_exact(
+            topology in small_topology(),
+            prior in small_topology(),
+            seed in 0u64..500,
+            n_samples in 1usize..2 * LANES + 4,
+        ) {
+            let mlp = Mlp::seeded(topology.clone(), seed);
+            let data = dataset_for(&topology, n_samples, seed);
+            let lut = SigmoidLut::default();
+            let mut one = Scratch::<1>::for_topology(&prior);
+            let mut wide = Scratch::<LANES>::for_topology(&prior);
+            let (prior_mlp, prior_data) = (Mlp::seeded(prior.clone(), seed), dataset_for(&prior, 3, seed));
+            let _ = mse_with(&prior_mlp, &prior_data, &mut one);
+            let _ = mse_with(&prior_mlp, &prior_data, &mut wide);
+            check_forward(&mut one, &mlp, &data, sigmoid)?;
+            check_forward(&mut one, &mlp, &data, |x| lut.eval(x))?;
+            check_forward(&mut wide, &mlp, &data, sigmoid)?;
+            check_forward(&mut wide, &mlp, &data, |x| lut.eval(x))?;
+            let want = naive_mse(&mlp, &data).to_bits();
+            prop_assert_eq!(mse_with(&mlp, &data, &mut one).to_bits(), want);
+            prop_assert_eq!(mse_with(&mlp, &data, &mut wide).to_bits(), want);
+        }
+
         /// Fused scratch backprop is bit-exact against the naive reference
         /// over random topologies, seeds, and datasets — including the
         /// momentum state carried across samples.
@@ -423,26 +569,6 @@ mod tests {
                 }
             }
             prop_assert_eq!(naive, fused);
-        }
-
-        /// Scratch forward and MSE are bit-exact against the naive paths.
-        #[test]
-        fn scratch_forward_and_mse_are_bit_exact(
-            topology in small_topology(),
-            seed in 0u64..500,
-        ) {
-            let mlp = Mlp::seeded(topology.clone(), seed);
-            let data = dataset_for(&topology, 8, seed);
-            let mut scratch = Scratch::new();
-            for (input, _) in data.iter() {
-                let naive_out = mlp.feed_forward(input);
-                prop_assert_eq!(scratch.forward(&mlp, input), &naive_out[..]);
-                let acts = mlp.activations(input);
-                prop_assert_eq!(&acts[acts.len() - 1][..], &naive_out[..]);
-            }
-            let a = naive_mse(&mlp, &data);
-            let b = mse_with(&mlp, &data, &mut scratch);
-            prop_assert_eq!(a.to_bits(), b.to_bits());
         }
 
         /// A scratch reused across different topologies (the worker-thread

@@ -1,8 +1,8 @@
 //! Cross-validated topology search (paper Section 4.2).
 
-use crate::batch::{mse_batch_with, BatchScratch};
-use crate::scratch::Scratch;
-use crate::{AnnError, Dataset, Mlp, Topology, TrainParams, Trainer};
+use crate::{
+    mse_with, AnnError, BatchScratch, Dataset, Mlp, Scratch, Topology, TrainParams, Trainer,
+};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -253,14 +253,15 @@ impl TopologySearch {
             self.params.threads
         };
 
-        crossbeam::scope(|scope| {
+        // A worker's panic propagates out of the scope when it joins.
+        std::thread::scope(|scope| {
             for _ in 0..n_threads {
-                // One scalar scratch and one batch scratch per worker,
+                // One per-sample scratch and one batch scratch per worker,
                 // reused across every candidate it trains: the
                 // steady-state training loop never allocates, and all
-                // full-dataset MSE evaluations ride the SIMD kernel
-                // (bit-exact with the scalar path).
-                scope.spawn(|_| {
+                // full-dataset MSE evaluations walk `LANES` samples at a
+                // time (bit-exact at every width).
+                scope.spawn(|| {
                     let mut scratch = Scratch::new();
                     let mut batch = BatchScratch::new();
                     loop {
@@ -303,7 +304,7 @@ impl TopologySearch {
                         );
                         let candidate = TopologyCandidate {
                             npu_latency: latency,
-                            test_mse: mse_batch_with(&mlp, test_ref, &mut batch),
+                            test_mse: mse_with(&mlp, test_ref, &mut batch),
                             train_mse: report.final_mse,
                             topology,
                         };
@@ -322,8 +323,7 @@ impl TopologySearch {
                     }
                 });
             }
-        })
-        .expect("search worker panicked");
+        });
 
         let mut scored = results.into_inner();
         scored.sort_by(|a, b| {

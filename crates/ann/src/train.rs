@@ -1,6 +1,6 @@
 //! Backpropagation training (paper Section 4.2).
 
-use crate::{mse_batch_with, BatchScratch, Dataset, Mlp, Scratch, LANES};
+use crate::{mse_with, BatchScratch, Dataset, Mlp, Scratch, LANES};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -115,8 +115,8 @@ impl Trainer {
 
     /// Like [`train_with`](Self::train_with), but also reusing a
     /// caller-owned [`BatchScratch`]. All full-dataset MSE evaluations
-    /// (initial, final, and the debug learning curve) run through the
-    /// batched SIMD kernel, which is bit-exact with the scalar path; the
+    /// (initial, final, and the debug learning curve) run `LANES` samples
+    /// per walk through the batch scratch (bit-exact at every width); the
     /// per-epoch update loop is per-sample SGD unless
     /// [`TrainParams::batch_size`] selects minibatch accumulation.
     ///
@@ -144,7 +144,7 @@ impl Trainer {
         // fresh velocity vectors the pre-scratch trainer allocated.
         scratch.bind(mlp.topology());
         batch.bind(mlp.topology());
-        let initial_mse = mse_batch_with(mlp, data, batch);
+        let initial_mse = mse_with(mlp, data, batch);
         let mut order: Vec<usize> = (0..data.len()).collect();
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.params.shuffle_seed);
         let lr = self.params.learning_rate;
@@ -160,7 +160,7 @@ impl Trainer {
             order.shuffle(&mut rng);
             if minibatch <= 1 {
                 for &i in &order {
-                    scratch.backprop_one_bound(mlp, data.input(i), data.output(i), lr, mu);
+                    scratch.backprop_one(mlp, data.input(i), data.output(i), lr, mu);
                 }
             } else {
                 for chunk in order.chunks(minibatch) {
@@ -191,7 +191,7 @@ impl Trainer {
                 telemetry::record_sample("ann.train.samples_per_s", data.len() as f64 / secs);
             }
             if curve && (epoch + 1) % stride == 0 {
-                let sample = mse_batch_with(mlp, data, batch);
+                let sample = mse_with(mlp, data, batch);
                 telemetry::emit(telemetry::Level::Debug, "ann::train", || {
                     telemetry::EventKind::TrainEpoch {
                         epoch: (epoch + 1) as u64,
@@ -202,7 +202,7 @@ impl Trainer {
         }
         TrainReport {
             initial_mse,
-            final_mse: mse_batch_with(mlp, data, batch),
+            final_mse: mse_with(mlp, data, batch),
             epochs_run: self.params.epochs,
         }
     }
@@ -211,7 +211,17 @@ impl Trainer {
     /// trainer's hyperparameters and `scratch`'s momentum state. Exposed
     /// for microbenchmarks and incremental-training experiments; the kernel
     /// [`Trainer::train_with`] runs per sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input.len()` does not match the network's input layer.
     pub fn step(&self, mlp: &mut Mlp, input: &[f32], target: &[f32], scratch: &mut Scratch) {
+        scratch.ensure_bound(mlp);
+        assert_eq!(
+            input.len(),
+            mlp.topology().inputs(),
+            "input vector size mismatch"
+        );
         scratch.backprop_one(
             mlp,
             input,
@@ -226,12 +236,9 @@ impl Trainer {
 /// output dimensions). Returns 0 for an empty dataset.
 ///
 /// Allocates one [`BatchScratch`] per call; hot paths evaluating many
-/// networks should hold their own scratch and call [`mse_batch_with`]
-/// (or [`crate::mse_with`] for the scalar oracle — the two are
-/// bit-exact).
+/// networks should hold their own scratch and call [`mse_with`].
 pub fn mse(mlp: &Mlp, data: &Dataset) -> f64 {
-    let mut batch = BatchScratch::for_topology(mlp.topology());
-    mse_batch_with(mlp, data, &mut batch)
+    mse_with(mlp, data, &mut BatchScratch::new())
 }
 
 #[cfg(test)]

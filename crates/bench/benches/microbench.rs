@@ -3,8 +3,8 @@
 //! simulation rate, and one scaled-down end-to-end figure computation.
 
 use ann::{
-    mse_batch_with, mse_with, BatchScratch, Dataset, Mlp, Normalizer, QFormat, QuantScratch,
-    QuantizedMlp, Scratch, SigmoidLut, Topology, TrainParams, Trainer, LANES,
+    mse_with, BatchScratch, Dataset, Mlp, Normalizer, QFormat, QuantScratch, QuantizedMlp, Scratch,
+    SigmoidLut, Topology, TrainParams, Trainer, LANES,
 };
 use approx_ir::{NpuPort, OpClass, TraceEvent, TraceSink};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -117,7 +117,7 @@ fn bench_mse_eval(c: &mut Criterion) {
     }
     let mlp = Mlp::seeded(t.clone(), 5);
     c.bench_function("mse_eval_500x89w", |b| {
-        let mut scratch = Scratch::for_topology(&t);
+        let mut scratch = Scratch::<1>::for_topology(&t);
         b.iter(|| mse_with(&mlp, &data, &mut scratch));
     });
 }
@@ -135,31 +135,37 @@ fn reference_dataset_500x89w() -> (Topology, Dataset) {
     (t, data)
 }
 
-/// Batched vs. scalar forward/MSE on the 500x89w reference workload. The
-/// scalar rows re-measure the existing kernels inside the same group so the
-/// batched-vs-scalar ratio is an interleaved same-window A/B, immune to the
-/// host's non-stationary noise. The `lut` pair is the NPU-datapath variant
-/// (sigmoid LUT instead of exact `exp`).
+/// Batched vs. scalar forward/MSE on the 500x89w reference workload: the
+/// one kernel at `W = LANES` against its `W = 1` instantiation. The scalar
+/// rows run inside the same group so the batched-vs-scalar ratio is an
+/// interleaved same-window A/B, immune to the host's non-stationary noise.
+/// The `lut` pair is the NPU-datapath variant (sigmoid LUT instead of exact
+/// `exp`); its scalar row is the path [`npu::BatchEvaluator`] takes below
+/// its occupancy cutover.
 fn bench_forward_batch(c: &mut Criterion) {
     let (t, data) = reference_dataset_500x89w();
     let mlp = Mlp::seeded(t.clone(), 5);
     let lut = SigmoidLut::default();
+    let act = |x| lut.eval(x);
     let inputs: Vec<&[f32]> = (0..data.len()).map(|i| data.input(i)).collect();
 
     let mut group = c.benchmark_group("forward_batch");
     group.bench_function("scalar_500x89w", |b| {
-        let mut scratch = Scratch::for_topology(&t);
+        let mut scratch = Scratch::<1>::for_topology(&t);
         b.iter(|| mse_with(&mlp, &data, &mut scratch));
     });
     group.bench_function("batched_500x89w", |b| {
         let mut batch = BatchScratch::for_topology(&t);
-        b.iter(|| mse_batch_with(&mlp, &data, &mut batch));
+        b.iter(|| mse_with(&mlp, &data, &mut batch));
     });
     group.bench_function("scalar_lut_500x89w", |b| {
+        let mut scratch = Scratch::<1>::for_topology(&t);
+        let mut out = [0.0f32; 1];
         b.iter(|| {
             let mut acc = 0.0f32;
             for input in &inputs {
-                acc += mlp.feed_forward_lut(input, &lut)[0];
+                scratch.forward_block(&mlp, &[input], &mut out, act);
+                acc += out[0];
             }
             acc
         });
@@ -170,7 +176,7 @@ fn bench_forward_batch(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0f32;
             for chunk in inputs.chunks(LANES) {
-                batch.forward_block_lut(&mlp, chunk, &mut out, &lut);
+                batch.forward_block(&mlp, chunk, &mut out, act);
                 for &y in &out[..chunk.len()] {
                     acc += y;
                 }

@@ -7,7 +7,7 @@
 //! whole-application error, showing how much precision the sigmoid unit
 //! actually needs.
 
-use ann::SigmoidLut;
+use ann::{Scratch, SigmoidLut};
 use bench::format::render_table;
 use bench::{drive, Options};
 use benchmarks::runner::{baseline_outputs, run_functional};
@@ -78,6 +78,7 @@ fn evaluate_app_with_lut(
     struct LutPort<'a> {
         config: &'a npu::NpuConfig,
         lut: &'a SigmoidLut,
+        scratch: Scratch,
         inputs: Vec<f32>,
         outputs: std::collections::VecDeque<f32>,
     }
@@ -89,7 +90,9 @@ fn evaluate_app_with_lut(
         fn enq_data(&mut self, v: f32) {
             self.inputs.push(v);
             if self.inputs.len() == self.config.topology().inputs() {
-                let out = self.config.evaluate_with_lut(&self.inputs, self.lut);
+                let mut out = vec![0.0; self.config.topology().outputs()];
+                self.config
+                    .evaluate_block(&mut self.scratch, &mut self.inputs, &mut out, self.lut);
                 self.outputs.extend(out);
                 self.inputs.clear();
             }
@@ -102,6 +105,7 @@ fn evaluate_app_with_lut(
     let mut port = LutPort {
         config: compiled.config(),
         lut,
+        scratch: Scratch::new(),
         inputs: Vec::new(),
         outputs: std::collections::VecDeque::new(),
     };

@@ -2,7 +2,7 @@
 //! wire encoding.
 
 use crate::NpuError;
-use ann::{Mlp, Normalizer, SigmoidLut, Topology};
+use ann::{Mlp, Normalizer, Scratch, SigmoidLut, Topology};
 use serde::{Deserialize, Serialize};
 
 const MAGIC: u32 = 0x4E50_5531; // "NPU1"
@@ -75,21 +75,57 @@ impl NpuConfig {
     /// These are the values one NPU invocation produces. The
     /// cycle-accurate [`NpuSim`](crate::NpuSim) models only *when* it
     /// produces them: its timing never depends on the values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len()` differs from the input dimensionality.
     pub fn evaluate(&self, inputs: &[f32]) -> Vec<f32> {
-        // The hardware-default LUT is immutable; build it once per process
-        // rather than per invocation.
-        static DEFAULT_LUT: std::sync::OnceLock<SigmoidLut> = std::sync::OnceLock::new();
-        self.evaluate_with_lut(inputs, DEFAULT_LUT.get_or_init(SigmoidLut::default))
+        let mut x = inputs.to_vec();
+        let mut y = vec![0.0; self.topology().outputs()];
+        self.evaluate_block(
+            &mut Scratch::<1>::new(),
+            &mut x,
+            &mut y,
+            SigmoidLut::hardware(),
+        );
+        y
     }
 
-    /// [`evaluate`](Self::evaluate) with an explicit LUT (for studying
-    /// quantization sensitivity).
-    pub fn evaluate_with_lut(&self, inputs: &[f32], lut: &SigmoidLut) -> Vec<f32> {
-        let mut x = inputs.to_vec();
-        self.input_norm.normalize(&mut x);
-        let mut y = self.mlp.feed_forward_lut(&x, lut);
-        self.output_norm.denormalize(&mut y);
-        y
+    /// Evaluates up to `W` invocations packed back to back in `inputs`
+    /// (raw application values, normalized in place) into `outputs`
+    /// (invocation-major, `n_outputs` each): the scaling unit's
+    /// normalization, the `W`-lane forward kernel with `lut` as the
+    /// sigmoid unit, then denormalization. An invocation's outputs do not
+    /// depend on `W` or on its position in the block, so every caller
+    /// ([`evaluate`](Self::evaluate), [`BatchEvaluator`](crate::BatchEvaluator),
+    /// LUT-precision studies) computes the same values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `outputs` is not a whole number of invocations, holds more
+    /// than `W` of them, or `inputs` does not hold exactly their inputs.
+    pub fn evaluate_block<const W: usize>(
+        &self,
+        scratch: &mut Scratch<W>,
+        inputs: &mut [f32],
+        outputs: &mut [f32],
+        lut: &SigmoidLut,
+    ) {
+        let n_in = self.topology().inputs();
+        let n_out = self.topology().outputs();
+        let lanes = outputs.len() / n_out;
+        assert!(lanes <= W, "block larger than the lane count");
+        assert_eq!(outputs.len(), lanes * n_out, "output block size mismatch");
+        assert_eq!(inputs.len(), lanes * n_in, "invocation input size mismatch");
+        let mut rows: [&[f32]; W] = [&[]; W];
+        for (lane, row) in inputs.chunks_mut(n_in).enumerate() {
+            self.input_norm.normalize(row);
+            rows[lane] = row;
+        }
+        scratch.forward_block(&self.mlp, &rows[..lanes], outputs, |x| lut.eval(x));
+        for row in outputs.chunks_mut(n_out) {
+            self.output_norm.denormalize(row);
+        }
     }
 
     /// Serializes to the `u32` configuration word stream.

@@ -221,8 +221,9 @@ impl QuantizedNpu {
 
     /// One fixed-point invocation: raw inputs cross the input boundary
     /// grid, the scaling unit normalizes, the integer network runs, and
-    /// the outputs cross the output boundary grid. Allocation-free given
-    /// a reused `scratch`.
+    /// the outputs cross the output boundary grid. `scratch` holds the
+    /// network's integer activations; the boundary values, the normalized
+    /// inputs and the outputs are fresh `Vec`s on every call.
     pub fn evaluate_with(&self, inputs: &[f32], scratch: &mut QuantScratch) -> QuantInvocation {
         assert_eq!(inputs.len(), self.input_fmts.len(), "input arity mismatch");
         let mut boundary_saturated = 0usize;
@@ -263,13 +264,6 @@ impl QuantizedNpu {
             datapath,
             boundary_saturated,
         }
-    }
-
-    /// Allocating convenience wrapper around
-    /// [`evaluate_with`](Self::evaluate_with), returning just the outputs.
-    pub fn evaluate(&self, inputs: &[f32]) -> Vec<f32> {
-        let mut scratch = QuantScratch::new();
-        self.evaluate_with(inputs, &mut scratch).outputs
     }
 }
 
@@ -317,9 +311,10 @@ mod tests {
     fn narrower_widths_degrade_gracefully() {
         let config = sobel_like_config();
         let inputs: Vec<f32> = (0..9).map(|i| i as f32 / 9.0).collect();
+        let mut scratch = QuantScratch::new();
         for bits in [4u8, 8, 12, 16] {
             let q = QuantizedNpu::new(&config, None, bits);
-            let out = q.evaluate(&inputs);
+            let out = q.evaluate_with(&inputs, &mut scratch).outputs;
             assert!(
                 out[0].is_finite() && (-0.001..=1.001).contains(&out[0]),
                 "int{bits} output {out:?} escapes the output range"

@@ -1,82 +1,72 @@
 //! Batched functional invocation replay.
 //!
-//! Sweeps and quality experiments evaluate the same [`NpuConfig`] over
-//! thousands of recorded invocations. Doing that one invocation at a time
-//! through [`NpuConfig::evaluate`] leaves the SIMD width of the batched
-//! forward kernel ([`ann::BatchScratch`]) on the table. [`BatchEvaluator`]
-//! replays invocations [`ann::LANES`] at a time: normalize → batched
-//! LUT-sigmoid forward → denormalize, bit-identical per invocation to
-//! [`NpuConfig::evaluate`].
+//! Sweeps, quality experiments and the serving daemon evaluate the same
+//! [`NpuConfig`] over thousands of invocations. [`BatchEvaluator`] replays
+//! them [`LANES`] at a time through [`NpuConfig::evaluate_block`] (normalize
+//! → forward → denormalize) on a [`ann::BatchScratch`], bit-identical per
+//! invocation to [`NpuConfig::evaluate`], which runs the same block method
+//! one lane wide.
 
 use crate::NpuConfig;
 use ann::{BatchScratch, Scratch, SigmoidLut, LANES};
 
-/// Below this many occupied lanes a block runs through the scalar kernel
-/// instead. The batched kernel always computes all [`LANES`] lanes, so a
-/// nearly empty block pays full-width arithmetic for a handful of results;
-/// one scalar sample costs roughly two full-occupancy batched samples, so
-/// the break-even sits near half occupancy.
+/// Below this many occupied lanes a block runs through the one-lane
+/// instantiation of the kernel instead. The `LANES`-wide kernel always
+/// computes all lanes, so a nearly empty block pays full-width arithmetic
+/// for a handful of results; one sample through the one-lane kernel costs
+/// roughly two full-occupancy batched samples, so the break-even sits near
+/// half occupancy.
+///
+/// Measured (DESIGN.md §13): `W = 1` time / `W = 16` time for one block of
+/// `n` invocations, range over two runs on a shared 2-vCPU Xeon VM; below
+/// 1 the one-lane path is faster.
+///
+/// | topology   | n = 4     | 7         | 8         | 9         | 10        |
+/// |------------|-----------|-----------|-----------|-----------|-----------|
+/// | fft        | 0.49–0.50 | 0.76–0.85 | 0.90–0.94 | 1.04–1.05 | 1.17–1.25 |
+/// | inversek2j | 0.36–0.53 | 0.79–0.81 | 0.95–1.05 | 0.90–0.97 | 1.01–1.09 |
+/// | jmeint     | 0.51      | 0.89–0.99 | 0.93–0.95 | 1.08–1.09 | 1.22–1.30 |
+/// | jpeg       | 0.54–0.55 | 0.90–0.93 | 1.02–1.04 | 1.11–1.12 | 1.24–1.26 |
+/// | kmeans     | 0.49      | 0.83–0.84 | 0.94      | 1.02–1.04 | 1.00–1.24 |
+/// | sobel      | 0.52–0.55 | 0.87–0.94 | 0.94–0.97 | 1.05–1.07 | 1.13–1.16 |
+///
+/// Break-even falls at 8–10 lanes, and at 8 the two widths are within 10%
+/// with the sign varying by topology and run, so the constant stays.
 const SCALAR_CUTOVER: usize = LANES / 2;
 
 /// Reusable batched evaluator for NPU invocation replay.
 ///
-/// Holds the batch scratch, a scalar scratch for low-occupancy blocks, the
-/// hardware-default sigmoid LUT, and a normalization staging buffer, so
-/// steady-state replay performs no heap allocation. One evaluator can
-/// serve configs of any topology — the scratches rebind on topology
-/// change.
+/// Holds a `LANES`-wide scratch, a one-lane scratch for low-occupancy
+/// blocks, and a normalization staging buffer, so steady-state replay
+/// performs no heap allocation. One evaluator can serve configs of any
+/// topology — the scratches rebind on topology change.
 #[derive(Debug, Default)]
 pub struct BatchEvaluator {
     batch: BatchScratch,
-    scalar: Scratch,
-    lut: SigmoidLut,
-    /// Normalized inputs for the current block, `n_inputs` per lane.
+    scalar: Scratch<1>,
+    /// Raw, then normalized, inputs of the current block.
     norm: Vec<f32>,
-    /// Blocks routed through the scalar kernel (occupancy below
+    /// Blocks routed through the one-lane kernel (occupancy below
     /// [`SCALAR_CUTOVER`]).
     scalar_blocks: u64,
-    /// Blocks routed through the full-width batched kernel.
+    /// Blocks routed through the `LANES`-wide kernel.
     batched_blocks: u64,
 }
 
 impl BatchEvaluator {
-    /// Creates an evaluator with the hardware-default sigmoid LUT.
+    /// Creates an evaluator; it uses the hardware-default sigmoid LUT.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Evaluates one batch of invocations: `inputs` holds one raw
-    /// application-value slice per invocation; `outputs` is cleared and
-    /// filled invocation-major (invocation `i`'s outputs at
+    /// Evaluates invocations packed back-to-back in one flat slice
+    /// (`flat.len()` must be a multiple of the input dimensionality), as
+    /// the functional runtime's input FIFO stores them. `outputs` is
+    /// cleared and filled invocation-major (invocation `i`'s outputs at
     /// `outputs[i * n_outputs..][..n_outputs]`).
     ///
     /// Each invocation's result is bit-identical to
     /// [`NpuConfig::evaluate`] on the same input, for any batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input slice length differs from the config's input
-    /// dimensionality.
-    pub fn run(&mut self, config: &NpuConfig, inputs: &[&[f32]], outputs: &mut Vec<f32>) {
-        let n_in = config.topology().inputs();
-        let n_out = config.topology().outputs();
-        outputs.clear();
-        outputs.resize(inputs.len() * n_out, 0.0);
-        for (block_idx, block) in inputs.chunks(LANES).enumerate() {
-            self.norm.clear();
-            for inv in block {
-                assert_eq!(inv.len(), n_in, "invocation input size mismatch");
-                self.norm.extend_from_slice(inv);
-            }
-            let out_chunk = &mut outputs[block_idx * LANES * n_out..][..block.len() * n_out];
-            self.eval_block(config, block.len(), out_chunk);
-        }
-    }
-
-    /// Evaluates invocations packed back-to-back in one flat slice
-    /// (`flat.len()` must be a multiple of the input dimensionality), as
-    /// the functional runtime's input FIFO stores them — no per-invocation
-    /// slice vector needed.
     ///
     /// # Panics
     ///
@@ -85,60 +75,34 @@ impl BatchEvaluator {
     pub fn run_flat(&mut self, config: &NpuConfig, flat: &[f32], outputs: &mut Vec<f32>) {
         let n_in = config.topology().inputs();
         let n_out = config.topology().outputs();
-        assert_eq!(flat.len() % n_in, 0, "flat input length mismatch");
         let n_inv = flat.len() / n_in;
+        assert_eq!(n_inv * n_in, flat.len(), "flat input length mismatch");
         outputs.clear();
         outputs.resize(n_inv * n_out, 0.0);
-        for (block_idx, block) in flat.chunks(LANES * n_in).enumerate() {
-            let lanes = block.len() / n_in;
+        let lut = SigmoidLut::hardware();
+        for base in (0..n_inv).step_by(LANES) {
+            let lanes = LANES.min(n_inv - base);
             self.norm.clear();
-            self.norm.extend_from_slice(block);
-            let out_chunk = &mut outputs[block_idx * LANES * n_out..][..lanes * n_out];
-            self.eval_block(config, lanes, out_chunk);
-        }
-    }
-
-    /// Evaluates the `lanes` normalized-staging rows currently in
-    /// `self.norm` (raw values on entry; normalized in place) into
-    /// `out_chunk`, choosing the batched or scalar kernel by occupancy.
-    /// Both kernels are bit-identical to [`NpuConfig::evaluate`] per
-    /// sample, so the choice is invisible in the results.
-    fn eval_block(&mut self, config: &NpuConfig, lanes: usize, out_chunk: &mut [f32]) {
-        let n_in = config.topology().inputs();
-        let n_out = config.topology().outputs();
-        for row in self.norm.chunks_mut(n_in) {
-            config.input_norm().normalize(row);
-        }
-        if lanes < SCALAR_CUTOVER {
-            self.scalar_blocks += 1;
-            for (lane, row) in self.norm.chunks(n_in).enumerate() {
-                let out = self.scalar.forward_lut(config.mlp(), row, &self.lut);
-                out_chunk[lane * n_out..][..n_out].copy_from_slice(out);
+            self.norm
+                .extend_from_slice(&flat[base * n_in..][..lanes * n_in]);
+            let out = &mut outputs[base * n_out..][..lanes * n_out];
+            if lanes < SCALAR_CUTOVER {
+                self.scalar_blocks += 1;
+                for lane in 0..lanes {
+                    let x = &mut self.norm[lane * n_in..][..n_in];
+                    let y = &mut out[lane * n_out..][..n_out];
+                    config.evaluate_block(&mut self.scalar, x, y, lut);
+                }
+            } else {
+                self.batched_blocks += 1;
+                config.evaluate_block(&mut self.batch, &mut self.norm, out, lut);
             }
-        } else {
-            self.batched_blocks += 1;
-            let mut refs: [&[f32]; LANES] = [&[]; LANES];
-            for (lane, row) in self.norm.chunks(n_in).enumerate() {
-                refs[lane] = row;
-            }
-            self.batch
-                .forward_block_lut(config.mlp(), &refs[..lanes], out_chunk, &self.lut);
         }
-        for row in out_chunk.chunks_mut(n_out) {
-            config.output_norm().denormalize(row);
-        }
-    }
-
-    /// Convenience wrapper allocating the output vector.
-    pub fn evaluate(&mut self, config: &NpuConfig, inputs: &[&[f32]]) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.run(config, inputs, &mut out);
-        out
     }
 
     /// `(scalar, batched)` block counts since construction: how many
-    /// blocks each kernel served. The split is pure bookkeeping — both
-    /// kernels are bit-identical to [`NpuConfig::evaluate`] — but a
+    /// blocks each kernel width served. The split is pure bookkeeping —
+    /// both widths are bit-identical to [`NpuConfig::evaluate`] — but a
     /// batching *server* drives flush sizes from queue occupancy, so the
     /// counters make the documented cutover observable (and testable)
     /// instead of silently drifting.
@@ -190,10 +154,10 @@ mod tests {
             let flat: Vec<f32> = (0..n_inv * n_in)
                 .map(|i| ((i * 13 + k) % 101) as f32 / 101.0 * 3.0 - 1.0)
                 .collect();
-            let inputs: Vec<&[f32]> = flat.chunks(n_in).collect();
             let mut eval = BatchEvaluator::new();
-            let got = eval.evaluate(&config, &inputs);
-            for (i, inv) in inputs.iter().enumerate() {
+            let mut got = Vec::new();
+            eval.run_flat(&config, &flat, &mut got);
+            for (i, inv) in flat.chunks(n_in).enumerate() {
                 let want = config.evaluate(inv);
                 assert_eq!(
                     &got[i * n_out..][..n_out],
@@ -213,10 +177,10 @@ mod tests {
         let flat: Vec<f32> = (0..n_inv * n_in)
             .map(|i| ((i * 17 + 5) % 97) as f32 / 97.0 * 2.0 - 0.5)
             .collect();
-        let inputs: Vec<&[f32]> = flat.chunks(n_in).collect();
         let mut eval = BatchEvaluator::new();
-        let got = eval.evaluate(config, &inputs);
-        for (i, inv) in inputs.iter().enumerate() {
+        let mut got = Vec::new();
+        eval.run_flat(config, &flat, &mut got);
+        for (i, inv) in flat.chunks(n_in).enumerate() {
             assert_eq!(
                 &got[i * n_out..][..n_out],
                 config.evaluate(inv).as_slice(),
@@ -280,9 +244,10 @@ mod tests {
         let mut eval = BatchEvaluator::new();
         let xa = [0.25_f32, 0.5];
         let xb = [0.1_f32; 9];
-        let got_a = eval.evaluate(&a, &[&xa]);
-        let got_b = eval.evaluate(&b, &[&xb]);
-        let got_a2 = eval.evaluate(&a, &[&xa]);
+        let (mut got_a, mut got_b, mut got_a2) = (Vec::new(), Vec::new(), Vec::new());
+        eval.run_flat(&a, &xa, &mut got_a);
+        eval.run_flat(&b, &xb, &mut got_b);
+        eval.run_flat(&a, &xa, &mut got_a2);
         assert_eq!(got_a, a.evaluate(&xa));
         assert_eq!(got_b, b.evaluate(&xb));
         assert_eq!(got_a, got_a2);
