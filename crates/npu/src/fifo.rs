@@ -60,6 +60,11 @@ impl InputFifo {
         self.consumed
     }
 
+    /// Absolute count of entries whose consuming invocation completed.
+    pub fn processed(&self) -> u64 {
+        self.processed
+    }
+
     /// Occupied entries (committed + speculative).
     pub fn len(&self) -> usize {
         (self.pushed - self.freed) as usize
@@ -158,8 +163,8 @@ impl InputFifo {
         overrun
     }
 
-    /// Rewinds the read cursor to absolute position `to` (the start of a
-    /// reset invocation).
+    /// Moves the read cursor to absolute position `to`: back to the start
+    /// of a reset invocation, or forward over entries the NPU has read.
     ///
     /// # Panics
     ///
@@ -214,6 +219,11 @@ impl OutputFifo {
     /// Whether a `deq.d` can issue (an unread entry exists).
     pub fn available(&self) -> bool {
         self.spec_head < self.pushed
+    }
+
+    /// Entries read by issued `deq.d`s that have not committed yet.
+    pub fn uncommitted_reads(&self) -> usize {
+        (self.spec_head - self.head) as usize
     }
 
     /// NPU-side: appends a computed output.

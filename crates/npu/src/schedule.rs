@@ -7,7 +7,7 @@
 //! assign an order to the outputs of the layer; (4) produce a bus schedule
 //! reflecting the order of operations."
 
-use crate::{NpuConfig, NpuError, NpuParams};
+use crate::{NpuConfig, NpuError, NpuParams, NpuStats};
 use serde::{Deserialize, Serialize};
 
 /// Where a scheduled bus transfer reads its value from.
@@ -88,6 +88,43 @@ impl NpuSchedule {
     /// Bus transfers per invocation.
     pub fn bus_transfers_per_invocation(&self) -> u64 {
         self.entries.len() as u64
+    }
+
+    /// The event counts of one complete invocation.
+    pub fn stats_per_invocation(&self) -> NpuStats {
+        let macs = self.macs_per_invocation();
+        NpuStats {
+            macs,
+            sigmoids: self.sigmoids_per_invocation(),
+            weight_reads: macs,
+            bus_transfers: self.bus_transfers_per_invocation(),
+            input_reads: self.layer_sizes[0] as u64,
+            outputs_produced: self.layer_sizes[self.layer_sizes.len() - 1] as u64,
+            invocations: 1,
+            ..NpuStats::default()
+        }
+    }
+
+    /// The most multiply-adds one PE does in an invocation.
+    pub fn max_pe_macs(&self) -> usize {
+        let per_pe = self.pe_tasks.iter().map(|t| t.iter().map(|t| t.macs).sum());
+        per_pe.max().unwrap_or(0)
+    }
+
+    /// Per computing layer and neuron, the slot of its last multiply-add
+    /// in a PE-major layout of one invocation's multiply-adds in which PE
+    /// p's start at slot `p * stride + first`.
+    pub fn last_mac_slots(&self, stride: usize, first: usize) -> Vec<Vec<usize>> {
+        let sizes = &self.layer_sizes[1..];
+        let mut last: Vec<Vec<_>> = sizes.iter().map(|&n| vec![0; n]).collect();
+        for (pe, tasks) in self.pe_tasks.iter().enumerate() {
+            let mut slot = pe * stride + first;
+            for task in tasks {
+                slot += task.macs;
+                last[task.layer][task.neuron] = slot - 1;
+            }
+        }
+        last
     }
 }
 

@@ -2,86 +2,210 @@
 //!
 //! The model tracks *when* things happen, never the values: the bus
 //! schedule is fixed at compile time (paper Section 6.2), so no cycle
-//! count depends on data. PE input FIFOs hold operand counts, computed
-//! neurons hold the cycle their result became readable, and the
-//! CPU-facing FIFOs are position counters. The values of an invocation
-//! come from [`NpuConfig::evaluate`] (or the batched
-//! [`BatchEvaluator`](crate::BatchEvaluator)).
+//! count depends on data, and the CPU-facing FIFOs are position counters.
+//! The values of an invocation come from [`NpuConfig::evaluate`] (or the
+//! batched [`BatchEvaluator`](crate::BatchEvaluator)).
+//!
+//! Time is event driven. An invocation's timing depends only on when its
+//! inputs arrive and when output-FIFO slots free, so one pass over the
+//! static schedule gives every event cycle of it by max-plus recurrences
+//! (each event happens at the latest ready cycle among its predecessors
+//! plus a fixed latency). With `S` the start, `A` an input's arrival, `B`
+//! a bus transfer, `M` a MAC and `P` a committed `deq.d`:
+//!
+//! * `S = max(D_prev + 1, A_first)`;
+//! * bus entry j fires at `B_j = max(B_{j-1} + 1, src, dest)` with
+//!   `B_{-1} = S - 1`. The source is ready at `A` on an input's first read
+//!   (later reads reuse the latched value) and at a neuron's ready cycle.
+//!   A PE that already holds `pe_input_fifo` of the invocation's operands
+//!   is ready once the oldest is consumed, `M_p[n - pe_input_fifo]` (a pop
+//!   frees its slot the same cycle); the g-th output needs
+//!   `P[g - output_fifo] + 1` (a pop is seen the next cycle);
+//! * PE p's i-th MAC runs at `M_p[i] = max(M_p[i-1] + 1, B(push i) + 1)`;
+//!   the sigmoid unit never stalls a PE, so a neuron is ready the cycle
+//!   after its last MAC;
+//! * the invocation completes at `D = max(B_last, max_p M_p[last] + 1)`.
+//!
+//! The pass runs as far as the known arrivals and dequeues allow; the
+//! clock ([`NpuSim::advance_to`]) only decides which of those events have
+//! happened yet.
 
 use crate::fifo::{InputFifo, OutputFifo};
 use crate::schedule::{BusDest, BusSource, NpuSchedule, Scheduler};
 use crate::{NpuConfig, NpuError, NpuParams, NpuStats};
 use std::collections::VecDeque;
 
-/// A sigmoid evaluation in flight inside a PE.
+/// [`Span::end`] of an invocation the pass has not finished timing.
+const OPEN: u64 = u64::MAX;
+
+/// An invocation the pass has started timing.
 #[derive(Debug, Clone, Copy)]
-struct PendingSigmoid {
-    layer: usize,
-    neuron: usize,
-    ready_at: u64,
-}
-
-/// Per-PE execution state within one invocation.
-#[derive(Debug, Clone, Default)]
-struct PeRun {
-    /// Operands waiting in the PE's input FIFO.
-    queued: usize,
-    task_idx: usize,
-    /// Multiply-adds done on the current task.
-    mac_idx: usize,
-    pending: Option<PendingSigmoid>,
-}
-
-/// One in-flight network evaluation.
-#[derive(Debug, Clone)]
-struct Invocation {
-    bus_pc: usize,
-    /// Cycle at which the invocation started (for latency accounting).
-    start_cycle: u64,
-    /// Absolute input-FIFO position where this invocation started reading.
+struct Span {
+    start: u64,
+    /// Completion cycle, or [`OPEN`].
+    end: u64,
+    /// Absolute input-FIFO position of its first input.
     input_start: u64,
-    /// Inputs read from the input FIFO and latched by the scaling unit
-    /// (multi-round layers re-read latched inputs instead of re-popping
-    /// the FIFO).
-    latched_inputs: usize,
-    /// Per computing layer, the cycle each neuron's result became
-    /// readable on the bus.
-    neuron_ready: Vec<Vec<Option<u64>>>,
-    outputs_pushed: usize,
-    pes: Vec<PeRun>,
+    /// Absolute output-FIFO position of its first output.
+    out_start: u64,
 }
 
-/// A completed invocation whose inputs may still be speculative; kept so a
-/// later squash can invalidate its outputs.
-#[derive(Debug, Clone, Copy)]
-struct CompletedRecord {
-    /// Absolute input-FIFO position one past this invocation's last input.
-    input_end: u64,
-    /// Outputs it pushed.
-    outputs: usize,
+/// The cycles the CPU side fixes: when each input arrives and when each
+/// output slot is freed.
+#[derive(Debug, Default)]
+struct Feeds {
+    /// Arrival cycle of each input from absolute position `arrivals_base`
+    /// up to the FIFO's push count.
+    arrivals: VecDeque<u64>,
+    arrivals_base: u64,
+    /// Cycle of each committed `deq.d` from absolute index `pops_base` on.
+    pops: VecDeque<u64>,
+    pops_base: u64,
 }
 
-#[derive(Debug, Clone)]
+impl Feeds {
+    fn arrival(&self, position: u64) -> Option<u64> {
+        let i = position.checked_sub(self.arrivals_base)?;
+        self.arrivals.get(i as usize).copied()
+    }
+
+    /// Committed `deq.d`s so far: the output FIFO's absolute head.
+    fn popped(&self) -> u64 {
+        self.pops_base + self.pops.len() as u64
+    }
+}
+
+/// The event cycles of one invocation, computed in bus order.
+#[derive(Debug, Clone, Default)]
+struct Pass {
+    /// Bus entries fired, and the cycle of the last one (`S - 1` before
+    /// the first).
+    fired: usize,
+    last_bus: u64,
+    /// Inputs read (latched) so far, and the cycle of each output push.
+    reads: usize,
+    pushes: Vec<u64>,
+    /// Per PE, the slot of its next MAC in `macs`.
+    next: Vec<usize>,
+    /// MAC cycles in [`Configured::block`]s, one per PE: `pe_input_fifo`
+    /// zeros, then the PE's MACs in order. The zeros stand for the MAC
+    /// `pe_input_fifo` back and the previous MAC before there are any.
+    macs: Vec<u64>,
+}
+
+impl Pass {
+    fn reset(&mut self, start: u64, state: &Configured) {
+        self.fired = 0;
+        self.last_bus = start - 1;
+        self.reads = 0;
+        self.pushes.clear();
+        let (block, fifo) = (state.block, state.params.pe_input_fifo);
+        self.next.clear();
+        self.next
+            .extend((0..state.schedule.n_pes).map(|pe| pe * block + fifo));
+        self.macs.resize(state.schedule.n_pes * block, 0);
+    }
+
+    /// Fires bus entries until one fires after `until` or waits on an
+    /// input not yet enqueued or an output slot not yet freed. Returns the
+    /// completion cycle once every entry has fired.
+    fn run(&mut self, state: &Configured, feeds: &Feeds, span: &Span, until: u64) -> Option<u64> {
+        let (next, macs) = (&mut self.next[..], &mut self.macs[..]);
+        while let Some(entry) = state.schedule.entries.get(self.fired) {
+            let mut at = self.last_bus + 1;
+            let first_read =
+                matches!(entry.src, BusSource::InputFifo { index } if index == self.reads);
+            if first_read {
+                let position = span.input_start + self.reads as u64;
+                at = at.max(feeds.arrival(position)?);
+            } else if let BusSource::Neuron { layer, index } = entry.src {
+                at = at.max(macs[state.last_mac[layer][index]] + 1);
+            }
+            let mask = match entry.dest {
+                BusDest::Pes(mask) => mask,
+                BusDest::OutputFifo => {
+                    let output = span.out_start + self.pushes.len() as u64;
+                    if let Some(slot) = output.checked_sub(state.params.output_fifo as u64) {
+                        let pop = feeds.pops.get((slot - feeds.pops_base) as usize);
+                        at = at.max(pop? + 1);
+                    }
+                    0
+                }
+            };
+            for pe in pes(mask) {
+                at = at.max(macs[next[pe] - state.params.pe_input_fifo]);
+            }
+            if at > until {
+                return None;
+            }
+            self.fired += 1;
+            self.last_bus = at;
+            self.reads += usize::from(first_read);
+            if entry.dest == BusDest::OutputFifo {
+                self.pushes.push(at);
+            }
+            for pe in pes(mask) {
+                macs[next[pe]] = macs[next[pe] - 1].max(at) + 1;
+                next[pe] += 1;
+            }
+        }
+        Some(
+            next.iter()
+                .fold(self.last_bus, |d, &i| d.max(macs[i - 1] + 1)),
+        )
+    }
+}
+
+/// The PEs set in a bus destination mask.
+fn pes(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let pe = (mask != 0).then(|| mask.trailing_zeros() as usize)?;
+        mask &= mask - 1;
+        Some(pe)
+    })
+}
+
+/// A loaded configuration and the invocations timed under it.
+#[derive(Debug)]
 struct Configured {
     schedule: NpuSchedule,
-    inv: Option<Invocation>,
-    history: VecDeque<CompletedRecord>,
+    /// Slots in [`Pass::macs`]: one PE's, and each neuron's last MAC.
+    block: usize,
+    last_mac: Vec<Vec<usize>>,
+    per_invocation: NpuStats,
+    params: NpuParams,
+    /// Timed invocations not complete at the current cycle, oldest first.
+    /// The pass is timing the last one while its end is open.
+    spans: VecDeque<Span>,
+    /// Input-FIFO end positions of completed invocations whose inputs may
+    /// still be speculative; kept so a later squash can invalidate their
+    /// outputs.
+    history: VecDeque<u64>,
 }
 
 /// The cycle-accurate NPU: eight (configurable) PEs, a statically
 /// scheduled bus, a scaling unit, and the three CPU-facing FIFOs.
 ///
-/// Drive it with [`tick`](Self::tick) (one cycle), feed it through the
-/// FIFO methods, and roll back misspeculation with [`squash`](Self::squash).
-/// It models timing and event counts only; [`NpuConfig::evaluate`] gives
-/// the values an invocation produces.
+/// Feed it through the FIFO methods, move its clock with
+/// [`advance_to`](Self::advance_to), and roll back misspeculation with
+/// [`squash`](Self::squash). Each FIFO operation extends the timeline of
+/// the pending invocations as far as it can; the clock only decides which
+/// of those events have happened. It models timing and event counts only;
+/// [`NpuConfig::evaluate`] gives the values an invocation produces.
 #[derive(Debug)]
 pub struct NpuSim {
     params: NpuParams,
     state: Option<Configured>,
+    /// Its read cursor is the pass's: inputs it has timed, read or not.
     input_fifo: InputFifo,
     output_fifo: OutputFifo,
+    feeds: Feeds,
+    /// Timing state of the last pending invocation.
+    pass: Pass,
+    /// Timed push cycle of each output from the committed head on.
+    out_at: VecDeque<u64>,
     cycle: u64,
+    /// Event counts up to `cycle`, except the invocation in flight.
     stats: NpuStats,
     /// Per-invocation latency distribution in simulated cycles (squashed
     /// invocations are excluded — they never complete architecturally).
@@ -95,6 +219,9 @@ impl NpuSim {
             input_fifo: InputFifo::new(params.input_fifo),
             output_fifo: OutputFifo::new(params.output_fifo),
             state: None,
+            feeds: Feeds::default(),
+            pass: Pass::default(),
+            out_at: VecDeque::new(),
             cycle: 0,
             stats: NpuStats::default(),
             invocation_hist: telemetry::Histogram::default(),
@@ -107,9 +234,40 @@ impl NpuSim {
         self.cycle
     }
 
-    /// Accumulated event statistics.
-    pub fn stats(&self) -> &NpuStats {
-        &self.stats
+    /// Event statistics up to the current cycle.
+    pub fn stats(&self) -> NpuStats {
+        let mut stats = self.stats;
+        if let Some((_, events)) = self.in_flight() {
+            stats.merge(&events);
+        }
+        stats
+    }
+
+    /// The invocation in flight at the current cycle, with its events so
+    /// far (timed again from its start).
+    fn in_flight(&self) -> Option<(Span, NpuStats)> {
+        let (state, cycle) = (self.state.as_ref()?, self.cycle);
+        let span = *state.spans.front().filter(|s| s.start <= cycle)?;
+        let mut pass = Pass::default();
+        pass.reset(span.start, state);
+        pass.run(state, &self.feeds, &span, cycle);
+        let first = |pe: usize| pe * state.block + state.params.pe_input_fifo;
+        let pes = pass.next.iter().enumerate();
+        let macs = pes.flat_map(|(pe, &next)| &pass.macs[first(pe)..next]);
+        let macs = macs.filter(|&&m| m <= cycle).count() as u64;
+        let timed = |slot: usize| slot < pass.next[slot / state.block] && pass.macs[slot] < cycle;
+        let sigmoids = state.last_mac.iter().flatten().filter(|&&slot| timed(slot));
+        let events = NpuStats {
+            macs,
+            weight_reads: macs,
+            sigmoids: sigmoids.count() as u64,
+            bus_transfers: pass.fired as u64,
+            input_reads: pass.reads as u64,
+            outputs_produced: pass.pushes.len() as u64,
+            active_cycles: cycle - span.start + 1,
+            ..NpuStats::default()
+        };
+        Some((span, events))
     }
 
     /// Per-invocation latency distribution in simulated cycles.
@@ -122,9 +280,9 @@ impl NpuSim {
         self.state.is_some()
     }
 
-    /// Whether an invocation is in flight.
+    /// Whether an invocation is in flight or waiting to start.
     pub fn busy(&self) -> bool {
-        self.state.as_ref().is_some_and(|s| s.inv.is_some()) || self.input_fifo.readable()
+        self.state.as_ref().is_some_and(|s| !s.spans.is_empty()) || self.input_fifo.readable()
     }
 
     /// Loads a configuration, charging the `enq.c` words that ship it to
@@ -137,11 +295,19 @@ impl NpuSim {
     pub fn configure(&mut self, config: &NpuConfig) -> Result<(), NpuError> {
         let schedule = Scheduler::new(self.params.clone()).schedule(config)?;
         self.stats.config_words += config.encoded_len() as u64;
+        let (fifo, block) = (self.params.pe_input_fifo, schedule.max_pe_macs());
+        let block = block + fifo;
+        self.pass = Pass::default();
         self.state = Some(Configured {
+            block,
+            last_mac: schedule.last_mac_slots(block, fifo),
+            per_invocation: schedule.stats_per_invocation(),
             schedule,
-            inv: None,
+            params: self.params.clone(),
+            spans: VecDeque::new(),
             history: VecDeque::new(),
         });
+        self.retime();
         Ok(())
     }
 
@@ -154,27 +320,37 @@ impl NpuSim {
         self.input_fifo.has_space()
     }
 
-    /// Current input FIFO occupancy (issue logic accounts values still in
-    /// flight on the CPU→NPU link against the remaining space).
+    /// Current input FIFO occupancy (entries whose invocation has not
+    /// completed or whose `enq.d` has not committed).
     pub fn input_fifo_len(&self) -> usize {
         self.input_fifo.len()
     }
 
-    /// Input FIFO capacity.
-    pub fn input_fifo_capacity(&self) -> usize {
-        self.params.input_fifo
-    }
-
-    /// Speculatively enqueues an input (at `enq.d` execute).
+    /// Speculatively enqueues an input (at `enq.d` execute); the NPU can
+    /// read it from the next cycle on.
     ///
     /// # Panics
     ///
     /// Panics if the FIFO is full — the issue logic must check
     /// [`input_has_space`](Self::input_has_space) first.
     pub fn enqueue_input(&mut self) {
+        self.enqueue_input_at(self.cycle + 1);
+    }
+
+    /// Like [`enqueue_input`](Self::enqueue_input) for a value that lands
+    /// in the FIFO at cycle `arrival` (after the current one), e.g. at the
+    /// end of the CPU→NPU link. Arrivals must not decrease.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the FIFO is full.
+    pub fn enqueue_input_at(&mut self, arrival: u64) {
+        debug_assert!(arrival > self.cycle, "an input lands after it is sent");
         self.input_fifo
             .push_spec()
             .expect("enq.d issued with full input fifo");
+        self.feeds.arrivals.push_back(arrival);
+        self.run();
     }
 
     /// Notifies the NPU that `n` `enq.d` instructions committed.
@@ -182,12 +358,30 @@ impl NpuSim {
         for _ in 0..n {
             self.input_fifo.commit_push();
         }
-        self.retire_history();
+        let committed = self.input_fifo.committed();
+        if let Some(state) = &mut self.state {
+            state.history.retain(|&end| end > committed);
+        }
     }
 
     /// Whether a `deq.d` can execute (an unread output exists).
     pub fn output_available(&self) -> bool {
         self.output_fifo.available()
+    }
+
+    /// The cycle the next unread output is (or will be) pushed, once the
+    /// timeline has reached it; it may lie after the current cycle.
+    pub fn next_output_cycle(&self) -> Option<u64> {
+        let unread = self.output_fifo.uncommitted_reads();
+        self.out_at.get(unread).copied()
+    }
+
+    /// While the input FIFO is full, the cycle the oldest pending
+    /// invocation completes and frees entries, once the timeline has
+    /// reached it.
+    pub fn next_room(&self) -> Option<u64> {
+        let span = self.state.as_ref()?.spans.front()?;
+        (!self.input_has_space() && span.end != OPEN).then_some(span.end)
     }
 
     /// Speculatively dequeues an output (at `deq.d` issue).
@@ -203,11 +397,23 @@ impl NpuSim {
         );
     }
 
-    /// Notifies the NPU that `n` `deq.d` instructions committed.
+    /// Notifies the NPU that `n` `deq.d` instructions committed, freeing
+    /// their output slots from the next cycle on.
     pub fn commit_outputs(&mut self, n: usize) {
+        let feeds = &mut self.feeds;
         for _ in 0..n {
             self.output_fifo.commit_pop();
+            self.out_at.pop_front();
+            feeds.pops.push_back(self.cycle);
         }
+        // Keep the pops that timing the pending invocations again needs.
+        let oldest = self.state.as_ref().and_then(|s| s.spans.front());
+        let keep = oldest.map_or(u64::MAX, |s| s.out_start).min(feeds.popped());
+        while feeds.pops_base + (self.params.output_fifo as u64) < keep {
+            feeds.pops.pop_front();
+            feeds.pops_base += 1;
+        }
+        self.run();
     }
 
     /// Misspeculation rollback (paper Section 5.2): the core reports how
@@ -225,230 +431,157 @@ impl NpuSim {
             });
         }
         self.output_fifo.squash_pops(n_deq);
-        let overrun = self.input_fifo.squash_pushes(n_enq);
-        if overrun == 0 {
-            return;
-        }
-        let new_pushed = self.input_fifo.pushed();
-        if let Some(state) = &mut self.state {
-            // Invalidate completed speculative invocations that lost inputs,
-            // youngest first.
-            while let Some(rec) = state.history.back() {
-                if rec.input_end > new_pushed {
-                    self.output_fifo.invalidate_tail(rec.outputs);
-                    self.stats.squashed_invocations += 1;
-                    state.history.pop_back();
-                } else {
-                    break;
-                }
-            }
-            // Reset the in-flight invocation if it read invalidated inputs.
-            if let Some(inv) = &state.inv {
-                let inv_end = inv.input_start + inv.latched_inputs as u64;
-                if inv_end > new_pushed {
-                    self.output_fifo.invalidate_tail(inv.outputs_pushed);
-                    self.input_fifo.rewind_to(inv.input_start);
-                    self.stats.squashed_invocations += 1;
-                    state.inv = None;
-                }
-            }
-        }
-    }
-
-    fn retire_history(&mut self) {
-        let committed = self.input_fifo.committed();
-        if let Some(state) = &mut self.state {
-            while let Some(rec) = state.history.front() {
-                if rec.input_end <= committed {
-                    state.history.pop_front();
-                } else {
-                    break;
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Cycle model
-    // ------------------------------------------------------------------
-
-    /// Advances the NPU by one cycle. Returns whether it made progress:
-    /// whether anything besides the cycle counters (`cycle`,
-    /// `total_cycles`, `active_cycles`) changed.
-    ///
-    /// Nothing in the model waits on time alone: a sigmoid result is
-    /// readable the cycle after its last MAC, and a neuron result stays
-    /// readable once produced. So a tick without progress repeats, cycle
-    /// for cycle, until an input is enqueued or an output is dequeued;
-    /// [`advance_stalled`](Self::advance_stalled) skips such a span.
-    pub fn tick(&mut self) -> bool {
-        self.cycle += 1;
-        self.stats.total_cycles += 1;
+        let in_flight = self.in_flight();
+        self.input_fifo.squash_pushes(n_enq);
+        let pushed = self.input_fifo.pushed();
+        let feeds = &mut self.feeds;
+        let kept = pushed.saturating_sub(feeds.arrivals_base);
+        feeds.arrivals.truncate(kept as usize);
+        feeds.arrivals_base = feeds.arrivals_base.min(pushed);
         let Some(state) = &mut self.state else {
-            return false;
+            return;
         };
-        let mut moved = false;
-        // Start a new invocation when input data arrives.
-        if state.inv.is_none() && self.input_fifo.readable() {
-            moved = true;
-            state.inv = Some(Invocation {
-                bus_pc: 0,
-                start_cycle: self.cycle,
-                input_start: self.input_fifo.consumed(),
-                latched_inputs: 0,
-                neuron_ready: state.schedule.layer_sizes[1..]
-                    .iter()
-                    .map(|&n| vec![None; n])
-                    .collect(),
-                outputs_pushed: 0,
-                pes: vec![PeRun::default(); state.schedule.n_pes],
-            });
+        // Invalidate completed speculative invocations that lost inputs,
+        // youngest first.
+        while state.history.back().is_some_and(|&end| end > pushed) {
+            state.history.pop_back();
+            let outputs = state.per_invocation.outputs_produced;
+            self.output_fifo.invalidate_tail(outputs as usize);
+            self.stats.squashed_invocations += 1;
         }
-        let Some(inv) = &mut state.inv else {
-            return false;
-        };
-        self.stats.active_cycles += 1;
-        let now = self.cycle;
-
-        // --- PE phase: resolve sigmoid results, then one MAC per PE. ---
-        for (pe, tasks) in inv.pes.iter_mut().zip(&state.schedule.pe_tasks) {
-            if let Some(p) = pe.pending {
-                if p.ready_at <= now {
-                    inv.neuron_ready[p.layer][p.neuron] = Some(now);
-                    self.stats.sigmoids += 1;
-                    pe.pending = None;
-                    moved = true;
-                }
-            }
-            let Some(task) = tasks.get(pe.task_idx) else {
-                continue;
-            };
-            // The single sigmoid unit must be free to accept a new sum.
-            let completing = pe.mac_idx + 1 == task.macs;
-            if pe.queued == 0 || (completing && pe.pending.is_some()) {
-                continue;
-            }
-            pe.queued -= 1;
-            pe.mac_idx += 1;
-            moved = true;
-            self.stats.macs += 1;
-            self.stats.weight_reads += 1;
-            if completing {
-                pe.pending = Some(PendingSigmoid {
-                    layer: task.layer,
-                    neuron: task.neuron,
-                    ready_at: now + 1,
-                });
-                pe.task_idx += 1;
-                pe.mac_idx = 0;
+        state.spans.clear();
+        if let Some((span, done)) = in_flight {
+            if span.input_start + done.input_reads > pushed {
+                // It read invalidated inputs: reset it.
+                self.output_fifo
+                    .invalidate_tail(done.outputs_produced as usize);
+                self.stats.merge(&done);
+                self.stats.squashed_invocations += 1;
+            } else {
+                self.pass.reset(span.start, state);
+                state.spans.push_back(Span { end: OPEN, ..span });
             }
         }
+        self.retime();
+    }
 
-        // --- Bus phase: at most one scheduled transfer per cycle. ---
-        if let Some(&entry) = state.schedule.entries.get(inv.bus_pc) {
-            // Destination readiness first (so we never consume a source
-            // value and then stall).
-            let dest_ready = match entry.dest {
-                BusDest::Pes(mask) => inv.pes.iter().enumerate().all(|(pe, run)| {
-                    mask & (1 << pe) == 0 || run.queued < self.params.pe_input_fifo
-                }),
-                BusDest::OutputFifo => self.output_fifo.has_space(),
-            };
-            let transfers = dest_ready
-                && match entry.src {
-                    BusSource::InputFifo { index } => {
-                        if index < inv.latched_inputs {
-                            true
-                        } else if self.input_fifo.read_next() {
-                            debug_assert_eq!(index, inv.latched_inputs);
-                            inv.latched_inputs += 1;
-                            self.stats.input_reads += 1;
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    BusSource::Neuron { layer, index } => {
-                        inv.neuron_ready[layer][index].is_some_and(|at| at <= now)
-                    }
+    // ------------------------------------------------------------------
+    // Timeline
+    // ------------------------------------------------------------------
+
+    /// Drops the timeline after the current cycle, except the invocation
+    /// in flight, and times it again.
+    fn retime(&mut self) {
+        self.input_fifo.rewind_to(self.input_fifo.processed());
+        self.out_at.truncate(self.output_fifo.len());
+        self.run();
+    }
+
+    /// Times the pending invocations as far as the enqueued inputs and the
+    /// freed output slots allow, starting the next invocation once its
+    /// first input's arrival is known.
+    fn run(&mut self) {
+        let Some(state) = &mut self.state else {
+            return;
+        };
+        loop {
+            let Some(span) = state.spans.back().copied().filter(|s| s.end == OPEN) else {
+                let input_start = self.input_fifo.consumed();
+                let Some(arrival) = self.feeds.arrival(input_start) else {
+                    return;
                 };
-            if transfers {
-                match entry.dest {
-                    BusDest::Pes(mask) => {
-                        for (pe, run) in inv.pes.iter_mut().enumerate() {
-                            if mask & (1 << pe) != 0 {
-                                run.queued += 1;
-                            }
-                        }
-                    }
-                    BusDest::OutputFifo => {
-                        self.output_fifo.push().expect("space checked above");
-                        inv.outputs_pushed += 1;
-                        self.stats.outputs_produced += 1;
-                    }
-                }
-                inv.bus_pc += 1;
-                self.stats.bus_transfers += 1;
-                moved = true;
-            }
+                let start = state.spans.back().map_or(self.cycle + 1, |s| s.end + 1);
+                let start = start.max(arrival);
+                self.pass.reset(start, state);
+                state.spans.push_back(Span {
+                    start,
+                    end: OPEN,
+                    input_start,
+                    out_start: self.feeds.popped() + self.out_at.len() as u64,
+                });
+                continue;
+            };
+            let pass = &mut self.pass;
+            let end = pass.run(state, &self.feeds, &span, OPEN);
+            self.input_fifo
+                .rewind_to(span.input_start + pass.reads as u64);
+            let timed = self.feeds.popped() + self.out_at.len() as u64;
+            let pushes = &pass.pushes[(timed - span.out_start) as usize..];
+            self.out_at.extend(pushes);
+            let Some(end) = end else {
+                return;
+            };
+            state.spans.back_mut().expect("timed above").end = end;
         }
+    }
 
-        // --- Completion. ---
-        let done = inv.bus_pc == state.schedule.entries.len()
-            && inv
-                .pes
-                .iter()
-                .zip(&state.schedule.pe_tasks)
-                .all(|(pe, tasks)| pe.task_idx == tasks.len() && pe.pending.is_none());
-        if done {
-            let latched = inv.latched_inputs;
-            let input_end = inv.input_start + latched as u64;
-            let outputs = inv.outputs_pushed;
+    /// Moves the clock to `cycle`: the NPU pushes the outputs and
+    /// completes the invocations the timeline puts at or before it, and
+    /// counts the cycles in [`NpuStats::total_cycles`] (and
+    /// [`NpuStats::active_cycles`] while an invocation is in flight).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycle` is before the current cycle.
+    pub fn advance_to(&mut self, cycle: u64) {
+        assert!(cycle >= self.cycle, "the npu clock cannot go back");
+        self.stats.total_cycles += cycle - self.cycle;
+        self.cycle = cycle;
+        while let Some(&at) = self.out_at.get(self.output_fifo.len()) {
+            if at > cycle {
+                break;
+            }
+            self.output_fifo.push().expect("timed after a pop");
+        }
+        let Some(state) = &mut self.state else {
+            return;
+        };
+        while let Some(span) = state.spans.front().copied().filter(|s| s.end <= cycle) {
+            state.spans.pop_front();
+            let inputs = state.per_invocation.input_reads;
+            self.input_fifo.mark_processed(inputs as usize);
+            self.feeds.arrivals.drain(..inputs as usize);
+            self.feeds.arrivals_base += inputs;
+            // Kept until its inputs commit (`commit_inputs` drops it).
+            state.history.push_back(span.input_start + inputs);
             // Latency in simulated cycles, inclusive of the start cycle —
             // deterministic, so it may feed per-benchmark reports.
-            let latency = self.cycle - inv.start_cycle + 1;
-            state.inv = None;
-            state
-                .history
-                .push_back(CompletedRecord { input_end, outputs });
-            self.input_fifo.mark_processed(latched);
-            self.stats.invocations += 1;
+            let latency = span.end - span.start + 1;
+            self.stats.merge(&state.per_invocation);
+            self.stats.active_cycles += latency;
             self.invocation_hist.observe(latency as f64);
             if telemetry::enabled(telemetry::Level::Trace) {
                 telemetry::emit(telemetry::Level::Trace, "npu::sim", || {
                     telemetry::EventKind::NpuInvocation { cycles: latency }
                 });
             }
-            self.retire_history();
-            moved = true;
-        }
-        moved
-    }
-
-    /// Advances the clock over `k` cycles in which the NPU is known to
-    /// make no progress (the last [`tick`](Self::tick) returned `false`
-    /// and no FIFO operation happened since): counts them in
-    /// `total_cycles`, and in `active_cycles` while an invocation is in
-    /// flight, exactly as `k` ticks would.
-    pub fn advance_stalled(&mut self, k: u64) {
-        self.cycle += k;
-        self.stats.total_cycles += k;
-        if self.state.as_ref().is_some_and(|s| s.inv.is_some()) {
-            self.stats.active_cycles += k;
         }
     }
 
-    /// Runs until the NPU is idle (no in-flight invocation and no readable
+    /// Advances the clock by one cycle. Returns whether the NPU made
+    /// progress in it: whether anything besides the cycle counters
+    /// (`cycle`, `total_cycles`, `active_cycles`) changed.
+    pub fn tick(&mut self) -> bool {
+        // Reads and output pushes are bus transfers, weight reads MACs.
+        let events = |s: NpuStats| [s.macs, s.sigmoids, s.bus_transfers, s.invocations];
+        let before = events(self.stats());
+        self.advance_to(self.cycle + 1);
+        events(self.stats()) != before
+    }
+
+    /// Runs until the NPU is idle (no in-flight invocation and no unread
     /// input). Useful for latency measurement.
     ///
     /// # Panics
     ///
-    /// Panics if a tick makes no progress (e.g. the output FIFO is full
-    /// and nobody drains it): with no FIFO operation in between, no later
-    /// tick would make progress either.
+    /// Panics if an invocation can never complete (e.g. the output FIFO is
+    /// full and nobody drains it, or its inputs were never enqueued).
     pub fn run_until_idle(&mut self) {
-        while self.busy() {
-            assert!(self.tick(), "npu deadlock: no progress");
+        let last = self.state.as_ref().and_then(|s| s.spans.back());
+        match last.map(|s| s.end) {
+            Some(OPEN) => panic!("npu deadlock: no progress"),
+            Some(end) => self.advance_to(end),
+            None => assert!(!self.input_fifo.readable(), "npu deadlock: no progress"),
         }
     }
 }
@@ -742,12 +875,12 @@ mod tests {
         assert_eq!(sim.stats().outputs_produced, 1);
         assert!(sim.busy());
         // No progress until the output is dequeued, whatever the wait.
-        let stalled = *sim.stats();
+        let stalled = sim.stats();
         for _ in 0..5 {
             assert!(!sim.tick());
         }
         // A stalled span counts as cycles, active while in flight.
-        sim.advance_stalled(10);
+        sim.advance_to(sim.cycle() + 10);
         let after = sim.stats();
         assert_eq!(after.total_cycles, stalled.total_cycles + 15);
         assert_eq!(after.active_cycles, stalled.active_cycles + 15);
@@ -756,7 +889,7 @@ mod tests {
             NpuStats {
                 total_cycles: stalled.total_cycles,
                 active_cycles: stalled.active_cycles,
-                ..*after
+                ..after
             },
             stalled
         );
@@ -766,8 +899,8 @@ mod tests {
         sim.run_until_idle();
         assert_eq!(sim.stats().invocations, 2);
         // With no invocation in flight only the total advances.
-        let idle = *sim.stats();
-        sim.advance_stalled(7);
+        let idle = sim.stats();
+        sim.advance_to(sim.cycle() + 7);
         assert_eq!(sim.stats().total_cycles, idle.total_cycles + 7);
         assert_eq!(sim.stats().active_cycles, idle.active_cycles);
         assert!(!sim.tick());

@@ -37,7 +37,7 @@ fn config_for(topology: Topology, seed: u64) -> NpuConfig {
 /// inputs, run to idle, dequeue and commit the outputs) and returns the
 /// stats it added.
 fn invoke(sim: &mut NpuSim, topology: &Topology) -> NpuStats {
-    let before = *sim.stats();
+    let before = sim.stats();
     for _ in 0..topology.inputs() {
         sim.enqueue_input();
     }
@@ -47,7 +47,7 @@ fn invoke(sim: &mut NpuSim, topology: &Topology) -> NpuStats {
         sim.dequeue_output();
     }
     sim.commit_outputs(topology.outputs());
-    let after = *sim.stats();
+    let after = sim.stats();
     NpuStats {
         macs: after.macs - before.macs,
         sigmoids: after.sigmoids - before.sigmoids,

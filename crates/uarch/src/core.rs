@@ -1,7 +1,7 @@
 //! The out-of-order pipeline model.
 
 use crate::cache::MemoryHierarchy;
-use crate::npu_iface::{LinkState, NpuAttachment};
+use crate::npu_iface::NpuAttachment;
 use crate::predictor::BranchPredictor;
 use crate::{CoreConfig, SimStats};
 use approx_ir::{OpClass, TraceEvent, TraceSink};
@@ -120,7 +120,9 @@ pub struct Core {
     hierarchy: MemoryHierarchy,
     predictor: BranchPredictor,
     npu: NpuAttachment,
-    link: LinkState,
+    /// Core-side cycle each not-yet-dequeued ideal-NPU output becomes
+    /// visible.
+    ideal_outputs: VecDeque<u64>,
 
     cycle: u64,
     /// Events fed but not yet dispatched. The first `fetch_ready.len()`
@@ -159,8 +161,6 @@ pub struct Core {
     /// counts that cycle added, which every cycle up to the next wake-up
     /// adds again.
     idle_stalls: Option<Stalls>,
-    /// Whether the cycle NPU made progress in its last tick.
-    npu_moved: bool,
 }
 
 impl Core {
@@ -189,7 +189,7 @@ impl Core {
             hierarchy: MemoryHierarchy::new(cfg.l1d, cfg.l2, cfg.mem_latency),
             predictor: BranchPredictor::new(cfg.gshare_bits, cfg.btb_entries, cfg.ras_entries),
             npu,
-            link: LinkState::default(),
+            ideal_outputs: VecDeque::new(),
             stats: SimStats::default(),
             cycle: 0,
             // Sized once for the most it ever holds, so it never regrows.
@@ -211,7 +211,6 @@ impl Core {
             last_commit_cycle: 0,
             input_peak: 0,
             idle_stalls: None,
-            npu_moved: false,
             cfg,
         }
     }
@@ -234,7 +233,7 @@ impl Core {
     /// The attached NPU's statistics, if a cycle-accurate NPU is attached.
     pub fn npu_stats(&self) -> Option<npu::NpuStats> {
         match &self.npu {
-            NpuAttachment::Cycle(sim) => Some(*sim.stats()),
+            NpuAttachment::Cycle(sim) => Some(sim.stats()),
             _ => None,
         }
     }
@@ -276,6 +275,9 @@ impl Core {
     pub fn finish(&mut self) -> SimStats {
         while !self.input.is_empty() || self.rob_len > 0 {
             self.step_guarded();
+        }
+        if let NpuAttachment::Cycle(sim) = &mut self.npu {
+            sim.advance_to(self.cycle);
         }
         self.stats.cycles = self.cycle;
         self.stats.bp_lookups = self.predictor.lookups();
@@ -349,69 +351,32 @@ impl Core {
         ]
     }
 
-    /// Counts `cycles` idle cycles that each add `stalls`.
-    fn credit_idle(&mut self, stalls: Stalls, cycles: u64) {
-        self.stats.rob_full_stalls += stalls[0] * cycles;
-        self.stats.iq_full_stalls += stalls[1] * cycles;
-        self.stats.lsq_full_stalls += stalls[2] * cycles;
-    }
-
-    /// Moves the clock to the next cycle in which a stage can act, ticking
-    /// the NPU through every cycle up to and including it.
-    ///
-    /// After a busy cycle that is simply the next one. After an idle
-    /// cycle the core's state is frozen until [`wake`](Self::wake) (or the
-    /// deadlock guard's cycle), except for what the cycle NPU changes.
-    /// While the NPU makes progress it ticks alone, one cycle at a time,
-    /// until something the core reads from it changes; the core stages
-    /// then run in that same cycle. Once an NPU tick makes no progress,
-    /// nothing changes until the core wakes or an enqueue lands, so the
-    /// clock jumps there and the NPU counts the span as stalled cycles.
+    /// Moves the clock to the next cycle in which a stage can act: after a
+    /// busy cycle the next one, after an idle cycle the core's state is
+    /// frozen until [`wake`](Self::wake) (or the deadlock guard's cycle).
     fn advance(&mut self) {
         let Some(stalls) = self.idle_stalls else {
             self.cycle += 1;
-            self.npu_moved = self.npu_tick(self.cycle);
             return;
         };
         let wake = self
             .wake(self.cycle)
             .min(self.last_commit_cycle + STALL_GUARD);
-        if !matches!(self.npu, NpuAttachment::Cycle(_)) {
-            self.credit_idle(stalls, wake - self.cycle - 1);
-            self.cycle = wake;
-            return;
-        }
-        while self.npu_moved {
-            let seen = self.npu_view();
-            self.cycle += 1;
-            self.npu_moved = self.npu_tick(self.cycle);
-            if self.cycle == wake || self.npu_view() != seen {
-                return;
-            }
-            self.credit_idle(stalls, 1);
-        }
-        let landing = self
-            .link
-            .enq_in_flight
-            .front()
-            .copied()
-            .filter(|&at| at > self.cycle);
-        let to = landing.map_or(wake, |at| at.min(wake));
-        let skipped = to - self.cycle - 1;
-        self.credit_idle(stalls, skipped);
-        if let NpuAttachment::Cycle(sim) = &mut self.npu {
-            sim.advance_stalled(skipped);
-        }
-        self.cycle = to;
-        self.npu_moved = self.npu_tick(to);
+        // Each skipped cycle adds the idle cycle's stall counts.
+        let skipped = wake - self.cycle - 1;
+        self.stats.rob_full_stalls += stalls[0] * skipped;
+        self.stats.iq_full_stalls += stalls[1] * skipped;
+        self.stats.lsq_full_stalls += stalls[2] * skipped;
+        self.cycle = wake;
     }
 
     /// The earliest cycle after an idle cycle `now` in which a stage can
-    /// act without the NPU changing anything: an operand or the ROB head
-    /// becomes ready, the branch fetch waits on resolves, an unpipelined
-    /// FP unit frees, an NPU output becomes visible, the fetch-buffer head
-    /// becomes dispatchable, or a fetch redirect ends. Every other
-    /// condition a stage waits on changes only when some stage acts.
+    /// act: an operand or the ROB head becomes ready, the branch fetch
+    /// waits on resolves, an unpipelined FP unit frees, an NPU output
+    /// becomes visible, an NPU invocation frees entries of a full input
+    /// FIFO, the fetch-buffer head becomes dispatchable, or a fetch
+    /// redirect ends. Every other condition a stage waits on changes only
+    /// when some stage acts.
     fn wake(&self, now: u64) -> u64 {
         let head = (self.rob_len > 0).then(|| self.slot(self.rob_base).done_at);
         let branch = self
@@ -424,52 +389,12 @@ impl Core {
             .chain(head)
             .chain(branch)
             .chain(self.fp_unit_busy.iter().copied())
-            .chain(self.link.output_visible_at.front().copied())
+            .chain(self.npu_wakes().into_iter().flatten())
             .chain(self.fetch_ready.front().copied())
             .chain([self.fetch_stalled_until])
             .filter(|&at| at > now)
             .min()
             .unwrap_or(u64::MAX)
-    }
-
-    /// What issue reads from the cycle NPU: input-FIFO entries taken (in
-    /// the FIFO or still on the link) and outputs on their way to the core.
-    fn npu_view(&self) -> (usize, usize) {
-        let queued = match &self.npu {
-            NpuAttachment::Cycle(sim) => sim.input_fifo_len(),
-            _ => 0,
-        };
-        (
-            queued + self.link.enq_in_flight.len(),
-            self.link.output_visible_at.len(),
-        )
-    }
-
-    /// Delivers in-flight enqueues, ticks the NPU one cycle, and records
-    /// the core-side visibility time of any new outputs. Returns whether
-    /// the NPU made progress.
-    fn npu_tick(&mut self, now: u64) -> bool {
-        let NpuAttachment::Cycle(sim) = &mut self.npu else {
-            return false;
-        };
-        while let Some(&at) = self.link.enq_in_flight.front() {
-            if at <= now && sim.input_has_space() {
-                sim.enqueue_input();
-                sim.commit_inputs(1);
-                self.link.enq_in_flight.pop_front();
-            } else {
-                break;
-            }
-        }
-        let moved = sim.tick();
-        let produced = sim.stats().outputs_produced;
-        while self.link.outputs_seen < produced {
-            self.link
-                .output_visible_at
-                .push_back(now + self.cfg.npu_link_latency);
-            self.link.outputs_seen += 1;
-        }
-        moved
     }
 
     /// A resolving mispredicted branch un-blocks fetch after the front-end
@@ -634,17 +559,15 @@ impl Core {
                 OpClass::Store => 1, // address/data into the store queue
                 OpClass::Branch | OpClass::Jump | OpClass::Call | OpClass::Ret => lat.branch,
                 OpClass::NpuEnqD => {
-                    if !self.npu_enq_ready() {
+                    if !self.npu_enq(now) {
                         return true;
                     }
-                    self.npu_do_enq(now);
                     lat.npu_queue
                 }
                 OpClass::NpuDeqD => {
-                    if !self.npu_deq_ready(now) {
+                    if !self.npu_deq(now) {
                         return true;
                     }
-                    self.npu_do_deq();
                     lat.npu_queue
                 }
                 // Non-speculative configuration traffic: one word per
@@ -663,24 +586,22 @@ impl Core {
         issued
     }
 
-    fn npu_enq_ready(&self) -> bool {
-        match &self.npu {
-            NpuAttachment::None => true,
-            NpuAttachment::Cycle(sim) => {
-                sim.input_fifo_len() + self.link.enq_in_flight.len() < sim.input_fifo_capacity()
-            }
-            NpuAttachment::Ideal { .. } => true,
-        }
-    }
-
-    fn npu_do_enq(&mut self, now: u64) {
+    /// Issues an `enq.d` if the input FIFO has room, counting the values
+    /// still on the CPU→NPU link. Returns whether it issued.
+    fn npu_enq(&mut self, now: u64) -> bool {
         let link = self.cfg.npu_link_latency;
         match &mut self.npu {
             NpuAttachment::None => {}
-            NpuAttachment::Cycle(_) => {
+            NpuAttachment::Cycle(sim) => {
+                sim.advance_to(now);
+                if !sim.input_has_space() {
+                    return false;
+                }
                 // Timing only: the values come from the interpreter's
-                // functional NPU port.
-                self.link.enq_in_flight.push_back(now + link);
+                // functional NPU port. The value lands after the link
+                // latency, and never within the cycle it is sent.
+                sim.enqueue_input_at(now + link.max(1));
+                sim.commit_inputs(1);
             }
             NpuAttachment::Ideal {
                 n_inputs,
@@ -692,36 +613,43 @@ impl Core {
                     *pending_inputs = 0;
                     for _ in 0..*n_outputs {
                         // Zero compute cycles; only the link round trip.
-                        self.link.output_visible_at.push_back(now + 2 * link);
+                        self.ideal_outputs.push_back(now + 2 * link);
                     }
                 }
             }
         }
+        true
     }
 
-    fn npu_deq_ready(&self, now: u64) -> bool {
+    /// When the NPU next changes what issue reads from it, once the NPU
+    /// has timed it: the core-side cycle the oldest unread output becomes
+    /// visible, and, while the input FIFO is full, the cycle an invocation
+    /// completes and frees entries.
+    fn npu_wakes(&self) -> [Option<u64>; 2] {
+        let link = self.cfg.npu_link_latency;
         match &self.npu {
-            NpuAttachment::None => true,
-            _ => self
-                .link
-                .output_visible_at
-                .front()
-                .is_some_and(|&at| at <= now),
+            NpuAttachment::Cycle(sim) => {
+                [sim.next_output_cycle().map(|at| at + link), sim.next_room()]
+            }
+            _ => [self.ideal_outputs.front().copied(), None],
         }
     }
 
-    fn npu_do_deq(&mut self) {
+    /// Issues a `deq.d` if an NPU output is visible (always, with no NPU
+    /// attached). Returns whether it issued.
+    fn npu_deq(&mut self, now: u64) -> bool {
+        let visible = self.npu_wakes()[0].is_some_and(|at| at <= now);
         match &mut self.npu {
             NpuAttachment::None => {}
+            _ if !visible => return false,
             NpuAttachment::Cycle(sim) => {
-                self.link.output_visible_at.pop_front();
+                sim.advance_to(now);
                 sim.dequeue_output();
                 sim.commit_outputs(1);
             }
-            NpuAttachment::Ideal { .. } => {
-                self.link.output_visible_at.pop_front();
-            }
+            NpuAttachment::Ideal { .. } => drop(self.ideal_outputs.pop_front()),
         }
+        true
     }
 
     fn dispatch(&mut self, now: u64) -> bool {

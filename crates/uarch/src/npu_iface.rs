@@ -1,7 +1,6 @@
 //! How the core's queue instructions connect to an NPU model.
 
 use npu::NpuSim;
-use std::collections::VecDeque;
 
 /// What sits on the other side of the `enq`/`deq` queues.
 #[derive(Debug)]
@@ -36,20 +35,6 @@ impl NpuAttachment {
             pending_inputs: 0,
         }
     }
-}
-
-/// In-flight enqueues traversing the CPU→NPU link, plus the core-side
-/// availability times of NPU outputs (modelling the n-cycle NPU→CPU link
-/// of Figure 10).
-#[derive(Debug, Default)]
-pub struct LinkState {
-    /// Delivery cycle of each enqueue still on the wire.
-    pub enq_in_flight: VecDeque<u64>,
-    /// Core-side cycle at which each not-yet-dequeued NPU output becomes
-    /// visible.
-    pub output_visible_at: VecDeque<u64>,
-    /// Outputs the NPU has pushed so far (to detect new ones after a tick).
-    pub outputs_seen: u64,
 }
 
 #[cfg(test)]

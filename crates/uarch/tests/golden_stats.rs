@@ -231,3 +231,125 @@ fn cycle_npu_core_stats_at_link_latency_16_are_pinned() {
         })
     );
 }
+
+/// A 9→8→4→1 NPU on two PEs with 1-entry PE input FIFOs and a 1-entry
+/// output FIFO: bus transfers wait on full PE FIFOs and the output drain
+/// on a free output slot, which the default-sized NPU above never does.
+fn fifo_pressure_npu() -> NpuSim {
+    let t = Topology::new(vec![NPU_INPUTS, 8, 4, NPU_OUTPUTS]).unwrap();
+    let config = NpuConfig::new(
+        Mlp::seeded(t, 3),
+        Normalizer::identity(NPU_INPUTS),
+        Normalizer::identity(NPU_OUTPUTS),
+    );
+    let mut sim = NpuSim::new(NpuParams {
+        n_pes: 2,
+        pe_input_fifo: 1,
+        output_fifo: 1,
+        ..NpuParams::default()
+    });
+    sim.configure(&config).unwrap();
+    sim
+}
+
+#[test]
+fn fifo_pressure_npu_core_stats_are_pinned() {
+    let (stats, npu) = replay(Core::with_npu(
+        CoreConfig::penryn_like(),
+        fifo_pressure_npu(),
+    ));
+    assert_eq!(
+        stats,
+        SimStats {
+            cycles: 35707,
+            committed: 20003,
+            int_ops: 13320,
+            fp_add_ops: 367,
+            fp_mul_ops: 653,
+            fp_div_ops: 313,
+            fp_sqrt_ops: 154,
+            fp_trig_ops: 77,
+            loads: 2414,
+            stores: 1802,
+            branches: 297,
+            npu_queue_ops: 606,
+            bp_lookups: 297,
+            bp_mispredicts: 195,
+            l1d_hits: 3177,
+            l1d_misses: 979,
+            l2_hits: 63,
+            l2_misses: 916,
+            mem_accesses: 916,
+            rob_full_stalls: 9943,
+            iq_full_stalls: 10406,
+            lsq_full_stalls: 6796,
+        }
+    );
+    assert_eq!(
+        npu,
+        Some(NpuStats {
+            macs: 6156,
+            sigmoids: 741,
+            weight_reads: 6156,
+            bus_transfers: 3249,
+            input_reads: 513,
+            outputs_produced: 57,
+            config_words: 147,
+            invocations: 57,
+            squashed_invocations: 0,
+            faults_injected: 0,
+            active_cycles: 4255,
+            total_cycles: 35707,
+        })
+    );
+}
+
+#[test]
+fn fifo_pressure_npu_core_stats_at_link_latency_16_are_pinned() {
+    let core = Core::with_npu(CoreConfig::with_npu_link_latency(16), fifo_pressure_npu());
+    let (stats, npu) = replay(core);
+    assert_eq!(
+        stats,
+        SimStats {
+            cycles: 36169,
+            committed: 20003,
+            int_ops: 13320,
+            fp_add_ops: 367,
+            fp_mul_ops: 653,
+            fp_div_ops: 313,
+            fp_sqrt_ops: 154,
+            fp_trig_ops: 77,
+            loads: 2414,
+            stores: 1802,
+            branches: 297,
+            npu_queue_ops: 606,
+            bp_lookups: 297,
+            bp_mispredicts: 195,
+            l1d_hits: 3177,
+            l1d_misses: 979,
+            l2_hits: 63,
+            l2_misses: 916,
+            mem_accesses: 916,
+            rob_full_stalls: 10168,
+            iq_full_stalls: 10367,
+            lsq_full_stalls: 7006,
+        }
+    );
+    assert_eq!(
+        npu,
+        Some(NpuStats {
+            macs: 6156,
+            sigmoids: 741,
+            weight_reads: 6156,
+            bus_transfers: 3249,
+            input_reads: 513,
+            outputs_produced: 57,
+            config_words: 147,
+            invocations: 57,
+            squashed_invocations: 0,
+            faults_injected: 0,
+            active_cycles: 4176,
+            total_cycles: 36169,
+        })
+    );
+}
