@@ -7,8 +7,8 @@
 //! compiler uses to pick a network that mimics a candidate code region.
 //!
 //! The paper links against the FANN C library for its software-only
-//! comparison (Figure 9); [`SoftwareNnCost`] provides the equivalent
-//! operation-count model for that experiment.
+//! comparison (Figure 9). Here that comparison runs the trained network as
+//! IR on the simulated core (`parrot::codegen::build_software_nn`).
 //!
 //! # Example
 //!
@@ -42,7 +42,6 @@ mod quant;
 mod scratch;
 mod search;
 pub mod seed;
-mod software_cost;
 mod topology;
 mod train;
 
@@ -55,6 +54,5 @@ pub use normalize::Normalizer;
 pub use quant::{FixedSigmoidLut, QFormat, QuantScratch, QuantTrace, QuantizedMlp, MAX_TOTAL_BITS};
 pub use scratch::{mse_with, Scratch};
 pub use search::{SearchOutcome, SearchParams, TopologyCandidate, TopologySearch};
-pub use software_cost::SoftwareNnCost;
 pub use topology::Topology;
 pub use train::{mse, TrainParams, TrainReport, Trainer};

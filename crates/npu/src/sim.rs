@@ -558,17 +558,6 @@ impl NpuSim {
         }
     }
 
-    /// Advances the clock by one cycle. Returns whether the NPU made
-    /// progress in it: whether anything besides the cycle counters
-    /// (`cycle`, `total_cycles`, `active_cycles`) changed.
-    pub fn tick(&mut self) -> bool {
-        // Reads and output pushes are bus transfers, weight reads MACs.
-        let events = |s: NpuStats| [s.macs, s.sigmoids, s.bus_transfers, s.invocations];
-        let before = events(self.stats());
-        self.advance_to(self.cycle + 1);
-        events(self.stats()) != before
-    }
-
     /// Runs until the NPU is idle (no in-flight invocation and no unread
     /// input). Useful for latency measurement.
     ///
@@ -620,6 +609,16 @@ mod tests {
             sim.dequeue_output();
         }
         sim.commit_outputs(n_out);
+    }
+
+    /// Advances one cycle; returns whether anything besides the cycle
+    /// counters (`cycle`, `total_cycles`, `active_cycles`) changed. Reads
+    /// and output pushes are bus transfers, weight reads MACs.
+    fn tick(sim: &mut NpuSim) -> bool {
+        let events = |s: NpuStats| [s.macs, s.sigmoids, s.bus_transfers, s.invocations];
+        let before = events(sim.stats());
+        sim.advance_to(sim.cycle() + 1);
+        events(sim.stats()) != before
     }
 
     #[test]
@@ -713,9 +712,7 @@ mod tests {
         sim.commit_inputs(1);
         sim.enqueue_input();
         // Let the NPU consume both inputs.
-        for _ in 0..4 {
-            sim.tick();
-        }
+        sim.advance_to(sim.cycle() + 4);
         assert_eq!(sim.stats().input_reads, 2);
         // Misspeculation: the second enq.d is squashed.
         sim.squash(1, 0);
@@ -838,9 +835,7 @@ mod tests {
             sim.enqueue_input();
         }
         sim.commit_inputs(4);
-        for _ in 0..1000 {
-            sim.tick();
-        }
+        sim.advance_to(sim.cycle() + 1000);
         // The first output fills the FIFO; the second invocation computes
         // but cannot drain its output.
         assert_eq!(sim.stats().invocations, 1);
@@ -868,7 +863,7 @@ mod tests {
         sim.commit_inputs(4);
         // Run until the second invocation's output finds the FIFO full.
         let mut ticks = 0;
-        while sim.tick() {
+        while tick(&mut sim) {
             ticks += 1;
             assert!(ticks < 1000, "the drain never blocked");
         }
@@ -877,7 +872,7 @@ mod tests {
         // No progress until the output is dequeued, whatever the wait.
         let stalled = sim.stats();
         for _ in 0..5 {
-            assert!(!sim.tick());
+            assert!(!tick(&mut sim));
         }
         // A stalled span counts as cycles, active while in flight.
         sim.advance_to(sim.cycle() + 10);
@@ -895,7 +890,7 @@ mod tests {
         );
         sim.dequeue_output();
         sim.commit_outputs(1);
-        assert!(sim.tick());
+        assert!(tick(&mut sim));
         sim.run_until_idle();
         assert_eq!(sim.stats().invocations, 2);
         // With no invocation in flight only the total advances.
@@ -903,15 +898,13 @@ mod tests {
         sim.advance_to(sim.cycle() + 7);
         assert_eq!(sim.stats().total_cycles, idle.total_cycles + 7);
         assert_eq!(sim.stats().active_cycles, idle.active_cycles);
-        assert!(!sim.tick());
+        assert!(!tick(&mut sim));
     }
 
     #[test]
     fn unconfigured_npu_only_counts_cycles() {
         let mut sim = NpuSim::new(NpuParams::default());
-        for _ in 0..10 {
-            sim.tick();
-        }
+        sim.advance_to(10);
         let s = sim.stats();
         assert_eq!((s.total_cycles, s.active_cycles, s.invocations), (10, 0, 0));
         assert!(!sim.busy());

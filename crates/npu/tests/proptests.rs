@@ -221,7 +221,7 @@ proptest! {
     #[test]
     fn squash_at_any_cycle_leaves_clean_timing(
         topology in schedulable_topology(),
-        ticks in 0usize..40,
+        cycles in 0u64..40,
     ) {
         let config = config_for(topology.clone(), 1);
         let params = NpuParams::default();
@@ -230,9 +230,7 @@ proptest! {
         for _ in 0..topology.inputs() {
             sim.enqueue_input();
         }
-        for _ in 0..ticks {
-            sim.tick();
-        }
+        sim.advance_to(cycles);
         let completed = sim.stats().invocations;
         sim.squash(topology.inputs(), 0);
         prop_assert!(!sim.output_available());

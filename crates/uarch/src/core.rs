@@ -6,8 +6,9 @@ use crate::predictor::BranchPredictor;
 use crate::{CoreConfig, SimStats};
 use approx_ir::{OpClass, TraceEvent, TraceSink};
 use npu::NpuSim;
+use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -74,6 +75,12 @@ struct Slot {
     /// counts as done, for its consumers and for commit, once this is
     /// `<= now`.
     done_at: u64,
+    /// Head of the list of waiting instructions whose first unissued
+    /// producer is this one ([`NONE`] when empty), linked through their
+    /// `next_waiter`. Drained when this instruction issues.
+    waiters: u64,
+    /// The next instruction on the waiter list this one sits on.
+    next_waiter: u64,
 }
 
 const EMPTY_SLOT: Slot = Slot {
@@ -82,22 +89,9 @@ const EMPTY_SLOT: Slot = Slot {
     mem_addr: 0,
     deps: [NONE; 4],
     done_at: NOT_ISSUED,
+    waiters: NONE,
+    next_waiter: NONE,
 };
-
-/// An issue-queue entry with its operand readiness cached.
-#[derive(Debug, Clone, Copy)]
-struct IqEntry {
-    /// Absolute ROB index of the waiting instruction.
-    abs: u64,
-    /// Cycle every operand is available: the latest producer's `done_at`,
-    /// known once every producer has issued ([`NOT_ISSUED`] until then).
-    /// A producer's `done_at` never changes after issue, so neither does
-    /// this.
-    ready_at: u64,
-    /// The producer the entry was last seen waiting on ([`NONE`] before
-    /// the first look); while it has not issued, the entry stays blocked.
-    wait: u64,
-}
 
 /// Per-cycle stall counters: `rob_full_stalls`, `iq_full_stalls`,
 /// `lsq_full_stalls`.
@@ -138,8 +132,21 @@ pub struct Core {
     rob_mask: u64,
     rob_base: u64,
     rob_len: usize,
-    /// Issue queue: waiting instructions, in age order.
-    iq: Vec<IqEntry>,
+    /// Issue-queue occupancy: in-flight instructions not yet issued. Each
+    /// sits in exactly one of three places: on the waiter list of its
+    /// first unissued producer, in `due` (every producer has issued, an
+    /// operand is still in flight) or in `ready`.
+    iq_len: usize,
+    /// `(cycle every operand is available, absolute index)` of waiting
+    /// instructions whose producers have all issued but whose operands
+    /// come later than the next issue walk, earliest first.
+    due: BinaryHeap<Reverse<(u64, u64)>>,
+    /// One bit per ROB ring slot: the instruction there has its operands
+    /// by the next issue walk and waits only for a unit. Walked from
+    /// `rob_base`'s slot, which is age order.
+    ready: Vec<u64>,
+    /// The copy of `ready` an issue walk reads.
+    walk: Vec<u64>,
     /// Last writer (absolute index, or [`NONE`]) of each register number.
     reg_producer: Vec<u64>,
     /// Youngest in-flight store per word address.
@@ -199,7 +206,10 @@ impl Core {
             rob_mask: ring as u64 - 1,
             rob_base: NONE + 1,
             rob_len: 0,
-            iq: Vec::with_capacity(cfg.iq_entries),
+            iq_len: 0,
+            due: BinaryHeap::with_capacity(cfg.iq_entries),
+            ready: vec![0; ring.div_ceil(64)],
+            walk: Vec::new(),
             reg_producer: Vec::new(),
             store_map: HashMap::default(),
             last_npu: NONE,
@@ -304,6 +314,10 @@ impl Core {
         &self.rob[(abs & self.rob_mask) as usize]
     }
 
+    fn slot_mut(&mut self, abs: u64) -> &mut Slot {
+        &mut self.rob[(abs & self.rob_mask) as usize]
+    }
+
     /// Events fed but not yet fetched.
     fn unfetched(&self) -> usize {
         self.input.len() - self.fetch_ready.len()
@@ -318,7 +332,7 @@ impl Core {
             "pipeline deadlock at cycle {}: rob={} iq={} head={:?}",
             self.cycle,
             self.rob_len,
-            self.iq.len(),
+            self.iq_len,
             (self.rob_len > 0).then(|| self.slot(self.rob_base)),
         );
     }
@@ -371,21 +385,22 @@ impl Core {
     }
 
     /// The earliest cycle after an idle cycle `now` in which a stage can
-    /// act: an operand or the ROB head becomes ready, the branch fetch
-    /// waits on resolves, an unpipelined FP unit frees, an NPU output
-    /// becomes visible, an NPU invocation frees entries of a full input
-    /// FIFO, the fetch-buffer head becomes dispatchable, or a fetch
-    /// redirect ends. Every other condition a stage waits on changes only
-    /// when some stage acts.
+    /// act: a waiting instruction's operands (the earliest `due` entry) or
+    /// the ROB head become ready, the branch fetch waits on resolves, an
+    /// unpipelined FP unit frees, an NPU output becomes visible, an NPU
+    /// invocation frees entries of a full input FIFO, the fetch-buffer
+    /// head becomes dispatchable, or a fetch redirect ends. Every other
+    /// condition a stage waits on changes only when some stage acts.
     fn wake(&self, now: u64) -> u64 {
         let head = (self.rob_len > 0).then(|| self.slot(self.rob_base).done_at);
         let branch = self
             .fetch_blocked_on
             .filter(|&b| b < self.rob_base + self.rob_len as u64)
             .map(|b| self.slot(b).done_at);
-        self.iq
-            .iter()
-            .map(|e| e.ready_at)
+        self.due
+            .peek()
+            .map(|&Reverse((at, _))| at)
+            .into_iter()
             .chain(head)
             .chain(branch)
             .chain(self.fp_unit_busy.iter().copied())
@@ -485,7 +500,41 @@ impl Core {
         Ok(ready_at)
     }
 
+    /// Files waiting instruction `abs` by its operands at cycle `now`: on
+    /// the waiter list of its first unissued producer, in `due` until its
+    /// last operand arrives, or in the ready mask.
+    fn schedule(&mut self, abs: u64, now: u64) {
+        match self.operands_ready_at(abs) {
+            Err(producer) => {
+                let next = std::mem::replace(&mut self.slot_mut(producer).waiters, abs);
+                self.slot_mut(abs).next_waiter = next;
+            }
+            // Dispatch runs after issue, and an issuing producer's result
+            // comes at `now + 1` at the earliest: either way the next issue
+            // walk, which reads the mask, is at `now + 1` or later.
+            Ok(at) if at <= now + 1 => self.mark_ready(abs),
+            Ok(at) => self.due.push(Reverse((at, abs))),
+        }
+    }
+
+    fn mark_ready(&mut self, abs: u64) {
+        let slot = (abs & self.rob_mask) as usize;
+        self.ready[slot / 64] |= 1 << (slot % 64);
+    }
+
+    /// Issues ready instructions oldest first, at most `issue_width` of
+    /// them, each on a free unit of its class. A producer's `done_at` is
+    /// at least `now + 1`, so nothing it wakes is ready in this cycle: the
+    /// walk sees exactly the instructions a scan of the whole issue queue
+    /// in age order would find ready.
     fn issue(&mut self, now: u64) -> bool {
+        while let Some(&Reverse((at, abs))) = self.due.peek() {
+            if at > now {
+                break;
+            }
+            self.due.pop();
+            self.mark_ready(abs);
+        }
         let mut int_tokens = self.cfg.int_alus;
         let mut fp_tokens = self.cfg.fp_units;
         let mut load_tokens = self.cfg.load_units;
@@ -493,97 +542,102 @@ impl Core {
         let mut budget = self.cfg.issue_width;
         let lat = self.cfg.latencies;
 
-        // One in-place pass in age order: issued entries drop out of the
-        // queue, the rest keep their order.
-        let mut iq = std::mem::take(&mut self.iq);
-        let waiting = iq.len();
-        iq.retain_mut(|e| {
-            if budget == 0 {
-                return true;
-            }
-            if e.ready_at == NOT_ISSUED {
-                if e.wait >= self.rob_base && self.slot(e.wait).done_at == NOT_ISSUED {
-                    return true;
-                }
-                match self.operands_ready_at(e.abs) {
-                    Ok(at) => e.ready_at = at,
-                    Err(producer) => {
-                        e.wait = producer;
-                        return true;
-                    }
-                }
-            }
-            if e.ready_at > now {
-                return true;
-            }
-            let slot = (e.abs & self.rob_mask) as usize;
-            let class = self.rob[slot].class;
-            // Functional unit / structural checks. The integer ALUs also
-            // resolve branches and execute the NPU queue instructions.
-            let tokens = match class {
-                OpClass::FpAdd
-                | OpClass::FpMul
-                | OpClass::FpDiv
-                | OpClass::FpSqrt
-                | OpClass::FpTrig => &mut fp_tokens,
-                OpClass::Load => &mut load_tokens,
-                OpClass::Store => &mut store_tokens,
-                _ => &mut int_tokens,
+        // The walk reads a copy of the mask, so an instruction woken during
+        // it waits for the next cycle. Age order is ring order from the
+        // oldest slot: its word from that bit up, the words after it, the
+        // words before it, then its word below that bit.
+        let mut walk = std::mem::take(&mut self.walk);
+        walk.clone_from(&self.ready);
+        let head = (self.rob_base & self.rob_mask) as usize;
+        let (first, below) = (head / 64, (1u64 << (head % 64)) - 1);
+        'walk: for k in 0..=walk.len() {
+            let word = (first + k) % walk.len();
+            let mut bits = match k {
+                0 => walk[word] & !below,
+                _ if k == walk.len() => walk[word] & below,
+                _ => walk[word],
             };
-            if *tokens == 0 {
-                return true;
+            while bits != 0 {
+                if budget == 0 {
+                    break 'walk;
+                }
+                let slot = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let class = self.rob[slot].class;
+                // Functional unit / structural checks. The integer ALUs also
+                // resolve branches and execute the NPU queue instructions.
+                let tokens = match class {
+                    OpClass::FpAdd
+                    | OpClass::FpMul
+                    | OpClass::FpDiv
+                    | OpClass::FpSqrt
+                    | OpClass::FpTrig => &mut fp_tokens,
+                    OpClass::Load => &mut load_tokens,
+                    OpClass::Store => &mut store_tokens,
+                    _ => &mut int_tokens,
+                };
+                if *tokens == 0 {
+                    continue;
+                }
+                let latency = match class {
+                    OpClass::IntAlu => lat.int_alu,
+                    OpClass::FpAdd => lat.fp_add,
+                    OpClass::FpMul => lat.fp_mul,
+                    OpClass::FpDiv | OpClass::FpSqrt | OpClass::FpTrig => {
+                        let latency = match class {
+                            OpClass::FpDiv => lat.fp_div,
+                            OpClass::FpSqrt => lat.fp_sqrt,
+                            _ => lat.fp_trig,
+                        };
+                        // Unpipelined: needs a unit whose divider is free.
+                        let Some(unit) = self
+                            .fp_unit_busy
+                            .iter()
+                            .position(|&busy_until| busy_until <= now)
+                        else {
+                            continue;
+                        };
+                        self.fp_unit_busy[unit] = now + latency;
+                        latency
+                    }
+                    OpClass::Load if self.rob[slot].forwarded => 1, // store-to-load forwarding
+                    OpClass::Load => self.hierarchy.access(self.rob[slot].mem_addr),
+                    OpClass::Store => 1, // address/data into the store queue
+                    OpClass::Branch | OpClass::Jump | OpClass::Call | OpClass::Ret => lat.branch,
+                    OpClass::NpuEnqD => {
+                        if !self.npu_enq(now) {
+                            continue;
+                        }
+                        lat.npu_queue
+                    }
+                    OpClass::NpuDeqD => {
+                        if !self.npu_deq(now) {
+                            continue;
+                        }
+                        lat.npu_queue
+                    }
+                    // Non-speculative configuration traffic: one word per
+                    // cycle through the config FIFO.
+                    OpClass::NpuEnqC | OpClass::NpuDeqC => lat.npu_queue,
+                };
+                *tokens -= 1;
+                budget -= 1;
+                self.iq_len -= 1;
+                self.ready[slot / 64] &= !(1 << (slot % 64));
+                // A zero latency still produces its result at the next cycle's
+                // writeback, never within the cycle it issues.
+                self.rob[slot].done_at = now + latency.max(1);
+                // File the consumers waiting on this result again.
+                let mut waiter = std::mem::replace(&mut self.rob[slot].waiters, NONE);
+                while waiter != NONE {
+                    let next = self.slot(waiter).next_waiter;
+                    self.schedule(waiter, now);
+                    waiter = next;
+                }
             }
-            let latency = match class {
-                OpClass::IntAlu => lat.int_alu,
-                OpClass::FpAdd => lat.fp_add,
-                OpClass::FpMul => lat.fp_mul,
-                OpClass::FpDiv | OpClass::FpSqrt | OpClass::FpTrig => {
-                    let latency = match class {
-                        OpClass::FpDiv => lat.fp_div,
-                        OpClass::FpSqrt => lat.fp_sqrt,
-                        _ => lat.fp_trig,
-                    };
-                    // Unpipelined: needs a unit whose divider is free.
-                    let Some(unit) = self
-                        .fp_unit_busy
-                        .iter()
-                        .position(|&busy_until| busy_until <= now)
-                    else {
-                        return true;
-                    };
-                    self.fp_unit_busy[unit] = now + latency;
-                    latency
-                }
-                OpClass::Load if self.rob[slot].forwarded => 1, // store-to-load forwarding
-                OpClass::Load => self.hierarchy.access(self.rob[slot].mem_addr),
-                OpClass::Store => 1, // address/data into the store queue
-                OpClass::Branch | OpClass::Jump | OpClass::Call | OpClass::Ret => lat.branch,
-                OpClass::NpuEnqD => {
-                    if !self.npu_enq(now) {
-                        return true;
-                    }
-                    lat.npu_queue
-                }
-                OpClass::NpuDeqD => {
-                    if !self.npu_deq(now) {
-                        return true;
-                    }
-                    lat.npu_queue
-                }
-                // Non-speculative configuration traffic: one word per
-                // cycle through the config FIFO.
-                OpClass::NpuEnqC | OpClass::NpuDeqC => lat.npu_queue,
-            };
-            *tokens -= 1;
-            // A zero latency still produces its result at the next cycle's
-            // writeback, never within the cycle it issues.
-            self.rob[slot].done_at = now + latency.max(1);
-            budget -= 1;
-            false
-        });
-        let issued = iq.len() != waiting;
-        self.iq = iq;
-        issued
+        }
+        self.walk = walk;
+        budget != self.cfg.issue_width
     }
 
     /// Issues an `enq.d` if the input FIFO has room, counting the values
@@ -665,7 +719,7 @@ impl Core {
                 self.stats.rob_full_stalls += 1;
                 break;
             }
-            if self.iq.len() >= self.cfg.iq_entries {
+            if self.iq_len >= self.cfg.iq_entries {
                 self.stats.iq_full_stalls += 1;
                 break;
             }
@@ -732,14 +786,11 @@ impl Core {
                 forwarded,
                 mem_addr,
                 deps,
-                done_at: NOT_ISSUED,
+                ..EMPTY_SLOT
             };
             self.rob_len += 1;
-            self.iq.push(IqEntry {
-                abs,
-                ready_at: NOT_ISSUED,
-                wait: NONE,
-            });
+            self.iq_len += 1;
+            self.schedule(abs, now);
         }
         dispatched
     }
@@ -1008,6 +1059,43 @@ mod tests {
         assert_eq!(stats.npu_queue_ops, 100);
         // Serialized at 1/cycle: at least ~100 cycles.
         assert!(stats.cycles >= 100);
+    }
+
+    #[test]
+    fn blocked_fp_divide_keeps_its_place_in_age_order() {
+        let cfg = CoreConfig {
+            rob_entries: 8,
+            fp_units: 1,
+            ..CoreConfig::penryn_like()
+        };
+        let div = cfg.latencies.fp_div;
+        let mut core = Core::new(cfg);
+        for i in 0..5 {
+            core.feed(alu(i, [None; 3], Some(1)));
+        }
+        for i in 0..3 {
+            core.feed(TraceEvent::simple(
+                5 + i,
+                OpClass::FpDiv,
+                [None; 3],
+                Some(2),
+            ));
+        }
+        // The divides are absolute indices 6, 7 and 8, in ring slots 6, 7
+        // and 0: the two younger ones wait for the one unit across the
+        // ring's wrap.
+        let (a, b, c) = (6, 7, 8);
+        while core.slot(a).done_at == NOT_ISSUED {
+            core.step();
+        }
+        assert_eq!(core.slot(b).done_at, NOT_ISSUED);
+        assert_eq!(core.slot(c).done_at, NOT_ISSUED);
+        assert_eq!(core.ready[0], 1 << 7 | 1 << 0, "both stay ready");
+        core.finish();
+        // The older one issues the cycle the unit frees, the younger one
+        // the next time it frees.
+        assert_eq!(core.slot(b).done_at, core.slot(a).done_at + div);
+        assert_eq!(core.slot(c).done_at, core.slot(b).done_at + div);
     }
 
     #[test]
