@@ -32,6 +32,12 @@
 //!
 //! Folding one rule into the other would change which products get
 //! rounded, and with them every trained weight.
+//!
+//! Per-sample SGD has a second, const-width step for one hidden layer of
+//! 2, 4, 8, 16 or 32 neurons ([`Scratch::sgd_step`] picks it once per
+//! training run): it keeps the hidden layer in `[f32; H]` locals instead
+//! of walking scratch memory layer by layer, and performs the same
+//! operations in the same order, so its weights are bit-identical too.
 
 use crate::{sigmoid, sigmoid_derivative, Dataset, Mlp, Topology};
 
@@ -265,7 +271,28 @@ impl<const W: usize> Scratch<W> {
     }
 }
 
+/// A per-sample SGD step: `step(scratch, mlp, input, target, lr, mu)`.
+/// [`Scratch::sgd_step`] picks one per topology.
+pub(crate) type SgdStep = fn(&mut Scratch<1>, &mut Mlp, &[f32], &[f32], f32, f32);
+
 impl Scratch<1> {
+    /// The per-sample SGD step for `topology`: the const-width
+    /// [`backprop_one_hidden`](Self::backprop_one_hidden) for one hidden
+    /// layer of 2, 4, 8, 16 or 32 neurons (the widths the topology search
+    /// enumerates), the generic [`backprop_one`](Self::backprop_one)
+    /// otherwise. Both are bit-identical to the naive reference, so the
+    /// choice only changes speed.
+    pub(crate) fn sgd_step(topology: &Topology) -> SgdStep {
+        match topology.layers() {
+            [_, 2, _] => Self::backprop_one_hidden::<2>,
+            [_, 4, _] => Self::backprop_one_hidden::<4>,
+            [_, 8, _] => Self::backprop_one_hidden::<8>,
+            [_, 16, _] => Self::backprop_one_hidden::<16>,
+            [_, 32, _] => Self::backprop_one_hidden::<32>,
+            _ => Self::backprop_one,
+        }
+    }
+
     /// One fused forward+backward SGD step with momentum for a single
     /// sample: `v = µ·v − lr·δ·a; w += v`, weight-then-bias per row. The
     /// scratch's velocity state carries across calls. The caller has bound
@@ -299,6 +326,85 @@ impl Scratch<1> {
                 *vb = mu * *vb - lr * d;
                 *wb += *vb; // bias
             }
+        }
+    }
+
+    /// [`backprop_one`](Self::backprop_one) for a `[I, H, O]` topology
+    /// with the hidden width `H` fixed at compile time: the hidden
+    /// activations and the hidden-delta sums live in `[f32; H]` locals
+    /// and the hidden-to-output loops unroll. Each output row is
+    /// evaluated, its delta taken, its weights (still the old ones) added
+    /// into the hidden-delta sums and then updated; the input-to-hidden
+    /// rows are updated last. Every weight's operations are those of the
+    /// generic step in the same order — sums start from the bias, inputs
+    /// and outputs are visited in index order, `lr·δ` rounds before the
+    /// product with the activation — so the two are bit-identical.
+    fn backprop_one_hidden<const H: usize>(
+        &mut self,
+        mlp: &mut Mlp,
+        input: &[f32],
+        target: &[f32],
+        lr: f32,
+        mu: f32,
+    ) {
+        debug_assert_eq!(self.layers, [input.len(), H, target.len()]);
+        let n_in = input.len();
+        let [w1, w2] = mlp.weight_matrices_mut() else {
+            unreachable!("a one-hidden-layer network has two weight matrices")
+        };
+        let (v1, v2) = self.velocity.split_at_mut(w1.len());
+
+        // Input-major: the H sums are independent chains, advanced one
+        // input at a time, so a wide input layer is not H serial chains.
+        let rows: [&[f32]; H] = std::array::from_fn(|j| &w1[j * (n_in + 1)..][..n_in + 1]);
+        let mut sums: [f32; H] = std::array::from_fn(|j| rows[j][n_in]);
+        for (i, &x) in input.iter().enumerate() {
+            for (s, row) in sums.iter_mut().zip(&rows) {
+                *s += row[i] * x;
+            }
+        }
+        let hidden = sums.map(sigmoid);
+
+        let mut back = [0.0f32; H];
+        for ((wrow, vrow), &t) in w2
+            .chunks_exact_mut(H + 1)
+            .zip(v2.chunks_exact_mut(H + 1))
+            .zip(target)
+        {
+            let (wb, ws) = wrow.split_last_mut().expect("row holds bias");
+            let (vb, vs) = vrow.split_last_mut().expect("row holds bias");
+            let ws: &mut [f32; H] = ws.try_into().expect("row holds H weights");
+            let vs: &mut [f32; H] = vs.try_into().expect("row holds H weights");
+            let mut sum = *wb;
+            for (&w, &h) in ws.iter().zip(&hidden) {
+                sum += w * h;
+            }
+            let y = sigmoid(sum);
+            let d = (y - t) * sigmoid_derivative(y);
+            for (b, &w) in back.iter_mut().zip(ws.iter()) {
+                *b += w * d;
+            }
+            let step = lr * d;
+            for ((v, w), &h) in vs.iter_mut().zip(ws.iter_mut()).zip(&hidden) {
+                *v = mu * *v - step * h;
+                *w += *v;
+            }
+            *vb = mu * *vb - step;
+            *wb += *vb; // bias
+        }
+
+        let wrows = w1.chunks_exact_mut(n_in + 1);
+        let vrows = v1.chunks_exact_mut(n_in + 1);
+        for (((wrow, vrow), &b), &h) in wrows.zip(vrows).zip(&back).zip(&hidden) {
+            let step = lr * (b * sigmoid_derivative(h));
+            let (wb, ws) = wrow.split_last_mut().expect("row holds bias");
+            let (vb, vs) = vrow.split_last_mut().expect("row holds bias");
+            for ((v, w), &x) in vs.iter_mut().zip(ws.iter_mut()).zip(input) {
+                *v = mu * *v - step * x;
+                *w += *v;
+            }
+            *vb = mu * *vb - step;
+            *wb += *vb; // bias
         }
     }
 }
@@ -472,6 +578,53 @@ pub(crate) mod tests {
         Ok(())
     }
 
+    /// Every weight of `mlp` as raw bits, so `-0.0` and NaN compare
+    /// exactly.
+    fn weight_bits(mlp: &Mlp) -> Vec<u32> {
+        mlp.weight_matrices()
+            .iter()
+            .flatten()
+            .map(|w| w.to_bits())
+            .collect()
+    }
+
+    /// Trains `Mlp::seeded(topology, seed)` for two passes over `data`
+    /// (so the momentum carry matters) with the step
+    /// [`Scratch::sgd_step`] picks, on `scratch` after a bind, and with
+    /// the naive reference; the weights must agree bit for bit.
+    fn check_sgd_step(
+        scratch: &mut Scratch,
+        topology: &Topology,
+        seed: u64,
+        data: &Dataset,
+    ) -> Result<(), TestCaseError> {
+        let mut naive = Mlp::seeded(topology.clone(), seed);
+        let mut fused = naive.clone();
+        let mut velocity: Vec<Vec<f32>> = naive
+            .weight_matrices()
+            .iter()
+            .map(|m| vec![0.0; m.len()])
+            .collect();
+        scratch.bind(topology);
+        let step = Scratch::sgd_step(topology);
+        for _ in 0..2 {
+            for (input, target) in data.iter() {
+                naive_backprop_one(&mut naive, input, target, &mut velocity, 0.2, 0.9);
+                step(scratch, &mut fused, input, target, 0.2, 0.9);
+            }
+        }
+        prop_assert_eq!(weight_bits(&naive), weight_bits(&fused), "{}", topology);
+        Ok(())
+    }
+
+    /// `[n_in, hidden.., n_out]`.
+    fn topology_of(n_in: usize, hidden: &[usize], n_out: usize) -> Topology {
+        let mut layers = vec![n_in];
+        layers.extend_from_slice(hidden);
+        layers.push(n_out);
+        Topology::new(layers).expect("nonzero layers")
+    }
+
     /// Forwards one sample through a per-sample scratch.
     fn forward_one(scratch: &mut Scratch<1>, mlp: &Mlp, input: &[f32]) -> Vec<f32> {
         let mut out = vec![f32::NAN; mlp.topology().outputs()];
@@ -543,9 +696,10 @@ pub(crate) mod tests {
             prop_assert_eq!(mse_with(&mlp, &data, &mut wide).to_bits(), want);
         }
 
-        /// Fused scratch backprop is bit-exact against the naive reference
-        /// over random topologies, seeds, and datasets — including the
-        /// momentum state carried across samples.
+        /// The per-sample SGD step, const-width or generic as
+        /// [`Scratch::sgd_step`] picks, is bit-exact against the naive
+        /// reference over random topologies, seeds, and datasets —
+        /// including the momentum state carried across samples.
         #[test]
         fn scratch_backprop_is_bit_exact(
             topology in small_topology(),
@@ -553,22 +707,7 @@ pub(crate) mod tests {
             n_samples in 1usize..12,
         ) {
             let data = dataset_for(&topology, n_samples, seed);
-            let mut naive = Mlp::seeded(topology.clone(), seed);
-            let mut fused = naive.clone();
-            let mut velocity: Vec<Vec<f32>> = naive
-                .weight_matrices()
-                .iter()
-                .map(|m| vec![0.0; m.len()])
-                .collect();
-            let mut scratch = Scratch::for_topology(&topology);
-            // Two passes over the data so momentum history matters.
-            for _ in 0..2 {
-                for (input, target) in data.iter() {
-                    naive_backprop_one(&mut naive, input, target, &mut velocity, 0.01, 0.9);
-                    scratch.backprop_one(&mut fused, input, target, 0.01, 0.9);
-                }
-            }
-            prop_assert_eq!(naive, fused);
+            check_sgd_step(&mut Scratch::new(), &topology, seed, &data)?;
         }
 
         /// A scratch reused across different topologies (the worker-thread
@@ -612,6 +751,63 @@ pub(crate) mod tests {
                 naive_backprop_one(&mut m1_naive, i, t, &mut velocity, 0.01, 0.9);
             }
             prop_assert_eq!(m1_shared, m1_naive);
+        }
+
+        /// The const-width step matches the naive reference bit for bit at
+        /// every hidden width it is instantiated for, with inputs and
+        /// outputs far wider than the hidden layer.
+        #[test]
+        fn const_width_step_is_bit_exact(
+            n_in in 1usize..=64,
+            n_out in 1usize..=64,
+            seed in 0u64..500,
+            n_samples in 1usize..6,
+        ) {
+            let mut scratch = Scratch::new();
+            for h in [2, 4, 8, 16, 32] {
+                let topology = topology_of(n_in, &[h], n_out);
+                let data = dataset_for(&topology, n_samples, seed);
+                check_sgd_step(&mut scratch, &topology, seed, &data)?;
+            }
+        }
+
+        /// A hidden width the search never produces, and any two-hidden-
+        /// layer network, take the generic step and still match the
+        /// reference.
+        #[test]
+        fn other_shapes_keep_the_generic_step(
+            n_in in 1usize..=16,
+            n_out in 1usize..=8,
+            h1 in 0u32..5,
+            h2 in 0u32..5,
+            seed in 0u64..500,
+        ) {
+            let mut scratch = Scratch::new();
+            for hidden in [vec![3], vec![2 << h1, 2 << h2]] {
+                let topology = topology_of(n_in, &hidden, n_out);
+                let data = dataset_for(&topology, 4, seed);
+                check_sgd_step(&mut scratch, &topology, seed, &data)?;
+            }
+        }
+
+        /// One scratch rebound from a const-width topology to a generic
+        /// one, or the other way round, trains both cleanly.
+        #[test]
+        fn rebinding_between_const_width_and_generic_steps_is_clean(
+            n_in in 1usize..=16,
+            n_out in 1usize..=8,
+            h in 0u32..5,
+            generic_first in any::<bool>(),
+            seed in 0u64..500,
+        ) {
+            let special = topology_of(n_in, &[2 << h], n_out);
+            let generic = topology_of(n_in, &[2 << h, 3], n_out);
+            let order = if generic_first { [&generic, &special] } else { [&special, &generic] };
+            let mut scratch = Scratch::new();
+            for topology in order {
+                let data = dataset_for(topology, 5, seed);
+                check_sgd_step(&mut scratch, topology, seed, &data)?;
+            }
         }
     }
 }

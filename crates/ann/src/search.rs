@@ -3,8 +3,9 @@
 use crate::{
     mse_with, AnnError, BatchScratch, Dataset, Mlp, Scratch, Topology, TrainParams, Trainer,
 };
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Configuration of the topology search space and selection policy.
 ///
@@ -242,16 +243,18 @@ impl TopologySearch {
         }
         let results: Mutex<Vec<(TopologyCandidate, Mlp)>> =
             Mutex::new(Vec::with_capacity(topologies.len()));
-        let next: Mutex<usize> = Mutex::new(0);
+        // The next candidate index to claim. It guards no other data (the
+        // candidate list is shared read-only), so `Relaxed` suffices.
+        let next = AtomicUsize::new(0);
 
         let n_threads = if self.params.threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4)
-                .min(topologies.len().max(1))
         } else {
             self.params.threads
-        };
+        }
+        .min(topologies.len());
 
         // A worker's panic propagates out of the scope when it joins.
         std::thread::scope(|scope| {
@@ -265,16 +268,10 @@ impl TopologySearch {
                     let mut scratch = Scratch::new();
                     let mut batch = BatchScratch::new();
                     loop {
-                        let idx = {
-                            let mut guard = next.lock();
-                            let idx = *guard;
-                            if idx >= topologies.len() {
-                                return;
-                            }
-                            *guard += 1;
-                            idx
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        let Some((topology, latency)) = topologies.get(idx).cloned() else {
+                            return;
                         };
-                        let (topology, latency) = topologies[idx].clone();
                         // Seeds are keyed by topology content, not list index,
                         // so the outcome is identical whatever subset of
                         // candidates the hardware filter admits and however
@@ -319,13 +316,18 @@ impl TopologySearch {
                                 }
                             });
                         }
-                        results.lock().push((candidate, mlp));
+                        results
+                            .lock()
+                            .expect("no worker panics while holding the results lock")
+                            .push((candidate, mlp));
                     }
                 });
             }
         });
 
-        let mut scored = results.into_inner();
+        let mut scored = results
+            .into_inner()
+            .expect("no worker panics while holding the results lock");
         scored.sort_by(|a, b| {
             a.0.test_mse
                 .total_cmp(&b.0.test_mse)

@@ -150,6 +150,7 @@ impl Trainer {
         let lr = self.params.learning_rate;
         let mu = self.params.momentum;
         let minibatch = self.params.batch_size.max(1);
+        let step = Scratch::sgd_step(mlp.topology());
         // The MSE learning curve costs a full-dataset evaluation per
         // sample, so it is taken (at ~8 points) only when debug tracing
         // is on; the training loop itself is unchanged otherwise.
@@ -160,7 +161,7 @@ impl Trainer {
             order.shuffle(&mut rng);
             if minibatch <= 1 {
                 for &i in &order {
-                    scratch.backprop_one(mlp, data.input(i), data.output(i), lr, mu);
+                    step(scratch, mlp, data.input(i), data.output(i), lr, mu);
                 }
             } else {
                 for chunk in order.chunks(minibatch) {
@@ -214,7 +215,8 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Panics if `input.len()` does not match the network's input layer.
+    /// Panics if `input.len()` or `target.len()` does not match the
+    /// network's input or output layer.
     pub fn step(&self, mlp: &mut Mlp, input: &[f32], target: &[f32], scratch: &mut Scratch) {
         scratch.ensure_bound(mlp);
         assert_eq!(
@@ -222,7 +224,13 @@ impl Trainer {
             mlp.topology().inputs(),
             "input vector size mismatch"
         );
-        scratch.backprop_one(
+        assert_eq!(
+            target.len(),
+            mlp.topology().outputs(),
+            "target vector size mismatch"
+        );
+        Scratch::sgd_step(mlp.topology())(
+            scratch,
             mlp,
             input,
             target,

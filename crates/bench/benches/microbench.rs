@@ -67,32 +67,35 @@ fn bench_npu_invocation(c: &mut Criterion) {
     group.finish();
 }
 
-/// One backpropagation epoch over 500 samples (sobel-sized network).
+/// One backpropagation epoch over 500 samples: the sobel-sized 9→8→1
+/// network, which trains with the const-width one-hidden-layer step, and a
+/// 9→8→2→1 network, which keeps the generic step.
 fn bench_training_epoch(c: &mut Criterion) {
-    let t = Topology::new(vec![9, 8, 1]).unwrap();
-    let mut data = Dataset::new(9, 1);
-    for k in 0..500 {
-        let input: Vec<f32> = (0..9).map(|i| ((k * 7 + i) % 97) as f32 / 97.0).collect();
-        let target = input.iter().sum::<f32>() / 9.0;
-        data.push(&input, &[target]).unwrap();
+    let (_, data) = reference_dataset_500x89w();
+    for (name, layers) in [
+        ("backprop_epoch_500x89w", vec![9, 8, 1]),
+        ("backprop_epoch_500x101w_2hidden", vec![9, 8, 2, 1]),
+    ] {
+        let t = Topology::new(layers).unwrap();
+        c.bench_function(name, |b| {
+            b.iter_batched(
+                || Mlp::seeded(t.clone(), 5),
+                |mut mlp| {
+                    Trainer::new(TrainParams {
+                        epochs: 1,
+                        ..TrainParams::default()
+                    })
+                    .train(&mut mlp, &data)
+                },
+                BatchSize::SmallInput,
+            );
+        });
     }
-    c.bench_function("backprop_epoch_500x89w", |b| {
-        b.iter_batched(
-            || Mlp::seeded(t.clone(), 5),
-            |mut mlp| {
-                Trainer::new(TrainParams {
-                    epochs: 1,
-                    ..TrainParams::default()
-                })
-                .train(&mut mlp, &data)
-            },
-            BatchSize::SmallInput,
-        );
-    });
 }
 
-/// One fused forward+backward SGD step (sobel-sized network), scratch
-/// reused across iterations — the innermost kernel of the topology search.
+/// One fused forward+backward SGD step (sobel-sized network, so the
+/// const-width one-hidden-layer step), scratch reused across iterations —
+/// the innermost kernel of the topology search.
 fn bench_backprop_one(c: &mut Criterion) {
     let t = Topology::new(vec![9, 8, 1]).unwrap();
     let input: Vec<f32> = (0..9).map(|i| (i as f32 * 0.11) % 1.0).collect();

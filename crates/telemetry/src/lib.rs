@@ -65,11 +65,22 @@ pub use sink::{CaptureSink, JsonlSink, NullSink, Sink, StderrSink};
 pub use span::{ContextGuard, Handoff, Span};
 pub use trace::ChromeTraceSink;
 
+/// Locks `mutex`, recovering the guard if a holder panicked. Every
+/// telemetry update leaves its data valid between steps (a counter, a
+/// pushed event, a written line), so a panic elsewhere, in a sink or in
+/// a test holding the test lock, must not disable telemetry for the rest
+/// of the process.
+pub(crate) fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 pub(crate) mod collector {
     use super::*;
-    use parking_lot::Mutex;
     use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+    use std::sync::Mutex;
     use std::time::Instant;
 
     /// Collector verbosity; `0` = off. Relaxed ordering suffices: the
@@ -124,7 +135,7 @@ pub(crate) mod collector {
     }
 
     fn with_state<R>(f: impl FnOnce(&mut State) -> R) -> R {
-        let mut guard = STATE.lock();
+        let mut guard = lock(&STATE);
         f(guard.get_or_insert_with(State::new))
     }
 
@@ -186,20 +197,19 @@ pub(crate) mod collector {
     }
 
     pub(crate) fn record_sample(key: &str, value: f64) {
-        SAMPLES
-            .lock()
+        lock(&SAMPLES)
             .get_or_insert_with(MetricsRegistry::new)
             .observe(key, value);
     }
 
     pub(crate) fn take_samples() -> MetricsRegistry {
-        SAMPLES.lock().take().unwrap_or_default()
+        lock(&SAMPLES).take().unwrap_or_default()
     }
 
     pub(crate) fn reset() {
         LEVEL.store(0, Ordering::Relaxed);
-        *STATE.lock() = None;
-        *SAMPLES.lock() = None;
+        *lock(&STATE) = None;
+        *lock(&SAMPLES) = None;
     }
 }
 
@@ -337,11 +347,11 @@ mod tests {
 
     // The collector is process-global and `cargo test` runs tests
     // concurrently, so the tests below share one exclusive lock.
-    static GUARD: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn disabled_level_drops_events_without_building_them() {
-        let _g = GUARD.lock();
+        let _g = lock(&GUARD);
         reset();
         let cap = capture();
         let mut built = false;
@@ -356,7 +366,7 @@ mod tests {
 
     #[test]
     fn events_reach_sinks_and_ring_in_order() {
-        let _g = GUARD.lock();
+        let _g = lock(&GUARD);
         reset();
         set_level(Level::Debug);
         let cap = capture();
@@ -376,7 +386,7 @@ mod tests {
 
     #[test]
     fn span_emits_phase_pair_and_reports_timing() {
-        let _g = GUARD.lock();
+        let _g = lock(&GUARD);
         reset();
         set_level(Level::Info);
         let cap = capture();
@@ -412,7 +422,7 @@ mod tests {
 
     #[test]
     fn spans_measure_time_even_when_tracing_is_off() {
-        let _g = GUARD.lock();
+        let _g = lock(&GUARD);
         reset();
         let span = span("test", "quiet");
         std::thread::sleep(std::time::Duration::from_millis(2));
@@ -427,7 +437,7 @@ mod tests {
 
     #[test]
     fn span_dropped_during_unwind_emits_aborted_end_once() {
-        let _g = GUARD.lock();
+        let _g = lock(&GUARD);
         reset();
         set_level(Level::Info);
         let cap = capture();
@@ -453,7 +463,7 @@ mod tests {
 
     #[test]
     fn handoff_emits_flow_pair_and_links_parents() {
-        let _g = GUARD.lock();
+        let _g = lock(&GUARD);
         reset();
         set_level(Level::Info);
         let cap = capture();
@@ -495,7 +505,7 @@ mod tests {
 
     #[test]
     fn samples_registry_accumulates_and_drains() {
-        let _g = GUARD.lock();
+        let _g = lock(&GUARD);
         reset();
         record_sample("ann.train.epoch_us", 100.0);
         record_sample("ann.train.epoch_us", 300.0);

@@ -1,11 +1,10 @@
 //! Event destinations: stderr pretty-printing, JSONL files, and an
 //! in-memory capture for tests.
 
-use crate::Event;
-use parking_lot::Mutex;
+use crate::{lock, Event};
 use std::io::Write;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A destination for recorded events. Sinks receive every event the
 /// collector's level admits, in emission order.
@@ -59,7 +58,7 @@ impl JsonlSink {
 impl Sink for JsonlSink {
     fn record(&self, event: &Event) {
         let line = serde::json::to_string(event);
-        let mut file = self.file.lock();
+        let mut file = lock(&self.file);
         // Best effort: a full disk should not bring the simulation down.
         let _ = writeln!(file, "{line}");
     }
@@ -79,18 +78,18 @@ impl CaptureSink {
 
     /// A copy of everything captured so far, in emission order.
     pub fn events(&self) -> Vec<Event> {
-        self.events.lock().clone()
+        lock(&self.events).clone()
     }
 
     /// Discards captured events.
     pub fn clear(&self) {
-        self.events.lock().clear();
+        lock(&self.events).clear();
     }
 }
 
 impl Sink for CaptureSink {
     fn record(&self, event: &Event) {
-        self.events.lock().push(event.clone());
+        lock(&self.events).push(event.clone());
     }
 }
 

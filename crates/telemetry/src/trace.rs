@@ -19,11 +19,11 @@
 //! [`ChromeTraceSink::flush`] (via [`crate::flush_sinks`]) writes the
 //! footer exactly once.
 
-use crate::{Event, EventKind, Histogram, Sink};
-use parking_lot::Mutex;
+use crate::{lock, Event, EventKind, Histogram, Sink};
 use std::collections::BTreeMap;
 use std::io::{BufWriter, Write};
 use std::path::Path;
+use std::sync::Mutex;
 
 /// The process id written into every event. The trace describes one
 /// process; Perfetto groups tracks under it.
@@ -163,7 +163,7 @@ fn serialize(event: &Event) -> Option<String> {
 
 impl Sink for ChromeTraceSink {
     fn record(&self, event: &Event) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if let EventKind::HistogramSnapshot { name, hist } = &event.kind {
             // Later snapshots of the same name win — they are cumulative.
             inner.histograms.insert(name.clone(), hist.clone());
@@ -175,7 +175,7 @@ impl Sink for ChromeTraceSink {
     }
 
     fn flush(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if inner.finished {
             return;
         }
