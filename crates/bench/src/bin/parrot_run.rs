@@ -5,9 +5,8 @@
 //! sweeps resumable.
 
 use bench::{drive, Options};
-use harness::Experiment;
 
 fn main() {
     let opts = Options::from_args();
-    std::process::exit(drive::run("parrot-run", &opts, &Experiment::all()));
+    std::process::exit(drive::run(&opts));
 }

@@ -8,7 +8,7 @@
 //! plus saturation rates and the Qm.n formats chosen from the static
 //! precision analysis — land in a JSON results file.
 //!
-//! Usage: `quant-bitwidth [--fast] [--out PATH]` (default output
+//! Usage: `quant_bitwidth [--fast] [--out PATH]` (default output
 //! `results/quant_bitwidth_cdf.json`).
 
 use ann::{Dataset, Mlp, QuantScratch, Topology, TrainParams, Trainer};

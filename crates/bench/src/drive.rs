@@ -1,6 +1,6 @@
-//! The shared sweep driver behind `parrot-run`, `run_all`, and the
-//! per-figure binaries: options → [`SweepSpec`] → sweep → printed
-//! artifacts, JSON reports, scheduler accounting, exit code.
+//! The sweep driver behind `parrot-run`: options → [`SweepSpec`] → sweep
+//! → printed artifacts, JSON reports, scheduler accounting, exit code.
+//! The ablation binaries reuse its [`spec`].
 
 use crate::cli::Options;
 use crate::experiments;
@@ -29,18 +29,15 @@ pub fn spec(suite_name: &str, opts: &Options) -> SweepSpec {
     spec
 }
 
-/// Resolves the positional experiment names, falling back to `default`
-/// when none were given.
+/// Resolves the positional experiment names, falling back to
+/// [`Experiment::all`] when none were given.
 ///
 /// # Errors
 ///
 /// Fails on an unknown experiment name.
-pub fn requested_experiments(
-    opts: &Options,
-    default: &[Experiment],
-) -> Result<Vec<Experiment>, String> {
+pub fn requested_experiments(opts: &Options) -> Result<Vec<Experiment>, String> {
     if opts.experiments.is_empty() {
-        return Ok(default.to_vec());
+        return Ok(Experiment::all());
     }
     opts.experiments
         .iter()
@@ -83,11 +80,12 @@ pub fn print_requested(result: &SweepResult, requested: &[Experiment], spec: &Sw
     }
 }
 
-/// Runs the full driver: sweep, print, JSON reports, failure summary.
-/// Returns the process exit code (0 clean, 1 on job failures or a failed
-/// `--require-warm` check, 2 on a malformed invocation).
-pub fn run(suite_name: &str, opts: &Options, default_experiments: &[Experiment]) -> i32 {
-    let requested = match requested_experiments(opts, default_experiments) {
+/// Runs the full `parrot-run` driver: sweep, print, JSON reports, failure
+/// summary. Returns the process exit code (0 clean, 1 on job failures or
+/// a failed `--require-warm` check, 2 on a malformed invocation).
+pub fn run(opts: &Options) -> i32 {
+    let suite_name = "parrot-run";
+    let requested = match requested_experiments(opts) {
         Ok(e) => e,
         Err(e) => {
             eprintln!("error: {e}");

@@ -1,6 +1,5 @@
 //! Printing: rendering experiment rows and scheduler accounting to
-//! stdout, shared by `parrot-run`, `run_all`, and the per-figure
-//! binaries.
+//! stdout for `parrot-run` (one section per requested experiment).
 
 use crate::experiments::{Fig10Row, Fig11Result, Fig6Row, Fig7Row, Fig8Row, Fig9Row, Table1Row};
 use crate::format::{geomean, render_table};

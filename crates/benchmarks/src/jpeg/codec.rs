@@ -8,7 +8,6 @@
 //! file-producing application.
 
 use super::tables::{dct_basis, AC_BITS, AC_VALUES, DC_BITS, DC_VALUES, LUMA_QUANT, ZIGZAG};
-use bytes::{BufMut, BytesMut};
 
 /// Forward 2-D DCT + quantization of one 8×8 block of `[0, 255]` samples:
 /// the reference semantics of the `jpeg` candidate region.
@@ -138,7 +137,7 @@ impl HuffTable {
 /// MSB-first bit writer with JPEG `0xFF 0x00` byte stuffing.
 #[derive(Debug, Default)]
 pub struct BitWriter {
-    out: BytesMut,
+    out: Vec<u8>,
     acc: u32,
     n_bits: u32,
 }
@@ -156,16 +155,16 @@ impl BitWriter {
         self.n_bits += len as u32;
         while self.n_bits >= 8 {
             let byte = (self.acc >> (self.n_bits - 8)) as u8;
-            self.out.put_u8(byte);
+            self.out.push(byte);
             if byte == 0xFF {
-                self.out.put_u8(0x00); // byte stuffing
+                self.out.push(0x00); // byte stuffing
             }
             self.n_bits -= 8;
         }
     }
 
     /// Pads the final partial byte with 1-bits and returns the stream.
-    pub fn finish(mut self) -> BytesMut {
+    pub fn finish(mut self) -> Vec<u8> {
         if self.n_bits > 0 {
             let pad = 8 - self.n_bits;
             self.put((1u16 << pad) - 1, pad as u8);
@@ -238,37 +237,37 @@ pub fn encode_block(
 /// Panics on a size mismatch.
 pub fn encode_jfif(coeffs: &[f32], dim: usize) -> Vec<u8> {
     assert_eq!(coeffs.len(), dim * dim);
-    let mut out = BytesMut::new();
+    let mut out = Vec::new();
     // SOI + APP0 (JFIF).
-    out.put_slice(&[0xFF, 0xD8]);
-    out.put_slice(&[0xFF, 0xE0, 0x00, 0x10]);
-    out.put_slice(b"JFIF\0");
-    out.put_slice(&[0x01, 0x01, 0x00, 0x00, 0x01, 0x00, 0x01, 0x00, 0x00]);
+    out.extend_from_slice(&[0xFF, 0xD8]);
+    out.extend_from_slice(&[0xFF, 0xE0, 0x00, 0x10]);
+    out.extend_from_slice(b"JFIF\0");
+    out.extend_from_slice(&[0x01, 0x01, 0x00, 0x00, 0x01, 0x00, 0x01, 0x00, 0x00]);
     // DQT (table 0, 8-bit precision, zigzag order).
-    out.put_slice(&[0xFF, 0xDB, 0x00, 0x43, 0x00]);
+    out.extend_from_slice(&[0xFF, 0xDB, 0x00, 0x43, 0x00]);
     for &z in &ZIGZAG {
-        out.put_u8(LUMA_QUANT[z] as u8);
+        out.push(LUMA_QUANT[z] as u8);
     }
     // SOF0: 8-bit, dim x dim, 1 component, no subsampling.
-    out.put_slice(&[0xFF, 0xC0, 0x00, 0x0B, 0x08]);
-    out.put_u16(dim as u16);
-    out.put_u16(dim as u16);
-    out.put_slice(&[0x01, 0x01, 0x11, 0x00]);
+    out.extend_from_slice(&[0xFF, 0xC0, 0x00, 0x0B, 0x08]);
+    out.extend_from_slice(&(dim as u16).to_be_bytes());
+    out.extend_from_slice(&(dim as u16).to_be_bytes());
+    out.extend_from_slice(&[0x01, 0x01, 0x11, 0x00]);
     // DHT: DC table 0 and AC table 0.
     let dc_len = 2 + 1 + 16 + DC_VALUES.len();
-    out.put_slice(&[0xFF, 0xC4]);
-    out.put_u16(dc_len as u16);
-    out.put_u8(0x00);
-    out.put_slice(&DC_BITS);
-    out.put_slice(&DC_VALUES);
+    out.extend_from_slice(&[0xFF, 0xC4]);
+    out.extend_from_slice(&(dc_len as u16).to_be_bytes());
+    out.push(0x00);
+    out.extend_from_slice(&DC_BITS);
+    out.extend_from_slice(&DC_VALUES);
     let ac_len = 2 + 1 + 16 + AC_VALUES.len();
-    out.put_slice(&[0xFF, 0xC4]);
-    out.put_u16(ac_len as u16);
-    out.put_u8(0x10);
-    out.put_slice(&AC_BITS);
-    out.put_slice(&AC_VALUES);
+    out.extend_from_slice(&[0xFF, 0xC4]);
+    out.extend_from_slice(&(ac_len as u16).to_be_bytes());
+    out.push(0x10);
+    out.extend_from_slice(&AC_BITS);
+    out.extend_from_slice(&AC_VALUES);
     // SOS.
-    out.put_slice(&[0xFF, 0xDA, 0x00, 0x08, 0x01, 0x01, 0x00, 0x00, 0x3F, 0x00]);
+    out.extend_from_slice(&[0xFF, 0xDA, 0x00, 0x08, 0x01, 0x01, 0x00, 0x00, 0x3F, 0x00]);
     // Entropy-coded segment.
     let dc_table = HuffTable::new(&DC_BITS, &DC_VALUES);
     let ac_table = HuffTable::new(&AC_BITS, &AC_VALUES);
@@ -281,8 +280,8 @@ pub fn encode_jfif(coeffs: &[f32], dim: usize) -> Vec<u8> {
     }
     out.extend_from_slice(&writer.finish());
     // EOI.
-    out.put_slice(&[0xFF, 0xD9]);
-    out.to_vec()
+    out.extend_from_slice(&[0xFF, 0xD9]);
+    out
 }
 
 #[cfg(test)]
@@ -341,7 +340,7 @@ mod tests {
         let mut w = BitWriter::new();
         w.put(0xFF, 8);
         let out = w.finish();
-        assert_eq!(out.as_ref(), &[0xFF, 0x00]);
+        assert_eq!(out, [0xFF, 0x00]);
     }
 
     #[test]
@@ -349,7 +348,7 @@ mod tests {
         let mut w = BitWriter::new();
         w.put(0b101, 3);
         let out = w.finish();
-        assert_eq!(out.as_ref(), &[0b1011_1111]);
+        assert_eq!(out, [0b1011_1111]);
     }
 
     #[test]

@@ -1,9 +1,12 @@
-//! The work-stealing executor.
+//! The job executor: a fixed set of worker threads drains one locked
+//! ready queue.
 //!
-//! Workers each own a local deque of ready jobs; a job finishing pushes
-//! its newly-unblocked dependents onto the finishing worker's deque
-//! (keeping a benchmark's pipeline hot on one worker), idle workers pull
-//! from a shared injector first and then steal from the busiest peer.
+//! All scheduling state — the ready queue, each job's count of unfinished
+//! dependencies, the terminal records, the jobs still to finish — sits
+//! behind one [`Mutex`], and one [`Condvar`] wakes idle workers (and the
+//! optional counter sampler). A job finishing pushes the dependents it
+//! unblocks onto the *front* of the queue, so a benchmark's pipeline runs
+//! depth-first while independent roots wait their turn at the back.
 //! Because every job body is a pure function of its dependencies'
 //! artifacts, execution order and worker count cannot change any result —
 //! only the wall clock.
@@ -12,7 +15,8 @@
 //! executor consults the [`ArtifactCache`] under the job's `(stage, key)`
 //! and skips execution on a hit; after a successful run it stores the
 //! artifact back. Failures propagate: dependents of a failed job are
-//! marked skipped without running.
+//! marked skipped without running. [`ExecStats`] is folded from the
+//! terminal records in one pass after the run.
 //!
 //! Tracing: the submitting thread captures one [`telemetry::Handoff`]
 //! per job inside the sweep-level span, and the worker adopts it before
@@ -26,8 +30,7 @@ use crate::artifact::Artifact;
 use crate::cache::ArtifactCache;
 use crate::dag::{JobDag, JobId};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Terminal state of one job.
@@ -82,74 +85,87 @@ pub struct ExecOptions {
     pub sample_interval: Option<Duration>,
 }
 
+/// Everything the workers share, behind one lock.
+struct State {
+    /// Jobs whose dependencies have all finished, next to run at the front.
+    ready: VecDeque<JobId>,
+    /// Per job: dependencies not yet in a terminal state.
+    pending: Vec<usize>,
+    /// Per job: the terminal state and its wall time in microseconds
+    /// (cache hits: load time; skipped jobs: 0).
+    done: Vec<Option<(JobResult, u64)>>,
+    /// Jobs not yet in a terminal state; 0 ends the run.
+    remaining: usize,
+    /// High-water mark of `ready.len()`.
+    max_ready: usize,
+}
+
 struct Shared<'d> {
     dag: &'d JobDag,
     cache: Option<&'d ArtifactCache>,
     /// One handoff token per job, captured on the submitting thread so
     /// worker-side job spans parent to the sweep-level span.
     handoffs: Vec<telemetry::Handoff>,
-    results: Vec<Mutex<Option<JobResult>>>,
-    pending: Vec<AtomicUsize>,
     dependents: Vec<Vec<JobId>>,
-    remaining: AtomicUsize,
-    injector: Mutex<VecDeque<JobId>>,
-    locals: Vec<Mutex<VecDeque<JobId>>>,
-    ready: AtomicUsize,
-    max_ready: AtomicUsize,
-    executed: AtomicU64,
-    from_cache: AtomicU64,
-    failed: AtomicU64,
-    skipped: AtomicU64,
-    stage_wall: Mutex<BTreeMap<String, u64>>,
-    stage_hist: Mutex<BTreeMap<String, telemetry::Histogram>>,
-    idle_lock: Mutex<()>,
-    idle_cv: Condvar,
+    state: Mutex<State>,
+    wake: Condvar,
 }
 
 impl Shared<'_> {
-    fn push_ready(&self, worker: usize, job: JobId) {
-        self.locals[worker]
-            .lock()
-            .expect("deque lock")
-            .push_back(job);
-        let now = self.ready.fetch_add(1, Ordering::Relaxed) + 1;
-        self.max_ready.fetch_max(now, Ordering::Relaxed);
-        self.idle_cv.notify_one();
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("scheduler lock")
     }
 
-    fn pop_job(&self, worker: usize) -> Option<JobId> {
-        // Own deque first (LIFO: keeps a pipeline's data warm), then the
-        // injector, then steal FIFO from any peer.
-        if let Some(j) = self.locals[worker].lock().expect("deque lock").pop_back() {
-            self.ready.fetch_sub(1, Ordering::Relaxed);
-            return Some(j);
-        }
-        if let Some(j) = self.injector.lock().expect("injector lock").pop_front() {
-            self.ready.fetch_sub(1, Ordering::Relaxed);
-            return Some(j);
-        }
-        for (i, peer) in self.locals.iter().enumerate() {
-            if i == worker {
+    fn worker_loop(&self, worker: usize) {
+        let mut state = self.lock();
+        loop {
+            let Some(job) = state.ready.pop_front() else {
+                if state.remaining == 0 {
+                    return;
+                }
+                state = self.wake.wait(state).expect("scheduler lock");
                 continue;
-            }
-            if let Some(j) = peer.lock().expect("deque lock").pop_front() {
-                self.ready.fetch_sub(1, Ordering::Relaxed);
-                return Some(j);
-            }
+            };
+            // Every dependency is terminal here; any non-success skips
+            // this job without running it.
+            let deps: Option<Vec<Arc<Artifact>>> = self.dag.jobs()[job]
+                .deps
+                .iter()
+                .map(|&d| match &state.done[d] {
+                    Some((JobResult::Done { artifact, .. }, _)) => Some(Arc::clone(artifact)),
+                    Some(_) => None,
+                    None => unreachable!("dependency finished before its dependent became ready"),
+                })
+                .collect();
+            drop(state);
+            let record = match deps {
+                Some(deps) => self.run_job(worker, job, &deps),
+                None => {
+                    self.emit_job_done(job, worker, "skipped", 0, 0);
+                    (JobResult::Skipped, 0)
+                }
+            };
+            state = self.lock();
+            self.finish(&mut state, job, record);
         }
-        None
     }
 
-    fn finalize(&self, worker: usize, job: JobId, result: JobResult) {
-        *self.results[job].lock().expect("result lock") = Some(result);
+    /// Records `job`'s terminal state and queues the dependents it
+    /// unblocks at the front (the last unblocked runs first).
+    fn finish(&self, state: &mut State, job: JobId, record: (JobResult, u64)) {
+        state.done[job] = Some(record);
+        state.remaining -= 1;
+        let mut unblocked = 0;
         for &dep in &self.dependents[job] {
-            if self.pending[dep].fetch_sub(1, Ordering::AcqRel) == 1 {
-                self.push_ready(worker, dep);
+            state.pending[dep] -= 1;
+            if state.pending[dep] == 0 {
+                state.ready.push_front(dep);
+                unblocked += 1;
             }
         }
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last job: wake everyone so idle workers can exit.
-            self.idle_cv.notify_all();
+        state.max_ready = state.max_ready.max(state.ready.len());
+        if unblocked > 0 || state.remaining == 0 {
+            self.wake.notify_all();
         }
     }
 
@@ -169,26 +185,10 @@ impl Shared<'_> {
         });
     }
 
-    fn run_job(&self, worker: usize, job: JobId) {
+    /// Serves `job` from the cache or runs its body; returns the terminal
+    /// state and its wall time.
+    fn run_job(&self, worker: usize, job: JobId, deps: &[Arc<Artifact>]) -> (JobResult, u64) {
         let node = &self.dag.jobs()[job];
-
-        // Gather dependencies; any non-success upstream skips this job.
-        let mut deps = Vec::with_capacity(node.deps.len());
-        for &d in &node.deps {
-            let dep_result = self.results[d].lock().expect("result lock");
-            match dep_result.as_ref() {
-                Some(JobResult::Done { artifact, .. }) => deps.push(Arc::clone(artifact)),
-                Some(JobResult::Failed(_)) | Some(JobResult::Skipped) => {
-                    self.skipped.fetch_add(1, Ordering::Relaxed);
-                    drop(dep_result);
-                    self.emit_job_done(job, worker, "skipped", 0, 0);
-                    self.finalize(worker, job, JobResult::Skipped);
-                    return;
-                }
-                None => unreachable!("dependency completed before dependent became ready"),
-            }
-        }
-
         // Adopt the submit-side handoff: the job span below parents to
         // the sweep-level span (with a flow arrow in the trace viewer)
         // even though it runs on a worker thread.
@@ -196,29 +196,13 @@ impl Shared<'_> {
         let span = telemetry::span("harness::exec", &format!("{}.{}", node.stage, node.bench));
         let span_id = span.id();
         let t0 = Instant::now();
+        let cache = self.cache.zip(node.key.as_deref());
 
         // Warm path: serve from the cache without running the body.
-        if let (Some(cache), Some(key)) = (self.cache, node.key.as_deref()) {
-            if let Some(artifact) = cache.load(&node.stage, key) {
-                self.from_cache.fetch_add(1, Ordering::Relaxed);
-                let elapsed_us = self.record_stage(&node.stage, t0);
-                drop(span);
-                self.emit_job_done(job, worker, "cached", span_id, elapsed_us);
-                self.finalize(
-                    worker,
-                    job,
-                    JobResult::Done {
-                        artifact: Arc::new(artifact),
-                        from_cache: true,
-                    },
-                );
-                return;
-            }
-        }
-
-        let result = match (node.run)(&deps) {
-            Ok(artifact) => {
-                if let (Some(cache), Some(key)) = (self.cache, node.key.as_deref()) {
+        let result = match cache.and_then(|(cache, key)| cache.load(&node.stage, key)) {
+            Some(artifact) => Ok((artifact, true)),
+            None => (node.run)(deps).map(|artifact| {
+                if let Some((cache, key)) = cache {
                     if let Err(e) = cache.store(&node.stage, key, &artifact) {
                         eprintln!(
                             "[harness] warning: failed to cache {}/{key}: {e}",
@@ -226,121 +210,80 @@ impl Shared<'_> {
                         );
                     }
                 }
-                self.executed.fetch_add(1, Ordering::Relaxed);
-                JobResult::Done {
-                    artifact: Arc::new(artifact),
-                    from_cache: false,
-                }
-            }
-            Err(e) => {
-                self.failed.fetch_add(1, Ordering::Relaxed);
-                JobResult::Failed(e)
-            }
+                (artifact, false)
+            }),
         };
-        let outcome = match &result {
-            JobResult::Done { .. } => "done",
-            JobResult::Failed(_) => "failed",
-            JobResult::Skipped => unreachable!("body ran"),
-        };
-        let elapsed_us = self.record_stage(&node.stage, t0);
+        let elapsed_us = t0.elapsed().as_micros() as u64;
         drop(span);
+        let (result, outcome) = match result {
+            Ok((artifact, from_cache)) => {
+                let outcome = if from_cache { "cached" } else { "done" };
+                let artifact = Arc::new(artifact);
+                (
+                    JobResult::Done {
+                        artifact,
+                        from_cache,
+                    },
+                    outcome,
+                )
+            }
+            Err(e) => (JobResult::Failed(e), "failed"),
+        };
         self.emit_job_done(job, worker, outcome, span_id, elapsed_us);
-        self.finalize(worker, job, result);
+        (result, elapsed_us)
     }
 
-    fn record_stage(&self, stage: &str, t0: Instant) -> u64 {
-        let us = t0.elapsed().as_micros() as u64;
-        *self
-            .stage_wall
-            .lock()
-            .expect("stage lock")
-            .entry(stage.to_string())
-            .or_insert(0) += us;
-        self.stage_hist
-            .lock()
-            .expect("stage hist lock")
-            .entry(stage.to_string())
-            .or_default()
-            .observe(us as f64);
-        us
-    }
-
-    fn worker_loop(&self, worker: usize) {
+    /// Emits counter samples every `interval` until the run ends, then
+    /// one final round so short runs still get a data point per counter.
+    fn sampler_loop(&self, interval: Duration) {
+        let mut state = self.lock();
         loop {
-            if self.remaining.load(Ordering::Acquire) == 0 {
+            let (depth, remaining) = (state.ready.len(), state.remaining);
+            drop(state);
+            self.sample_counters(depth, remaining);
+            if remaining == 0 {
                 return;
             }
-            match self.pop_job(worker) {
-                Some(job) => self.run_job(worker, job),
-                None => {
-                    // Nothing runnable right now; sleep until a finishing
-                    // job signals. The timeout guards against a lost
-                    // wakeup racing the emptiness check.
-                    let guard = self.idle_lock.lock().expect("idle lock");
-                    let _ = self
-                        .idle_cv
-                        .wait_timeout(guard, Duration::from_millis(5))
-                        .expect("idle wait");
+            state = self
+                .wake
+                .wait_timeout_while(self.lock(), interval, |s| s.remaining > 0)
+                .expect("scheduler lock")
+                .0;
+        }
+    }
+
+    /// Emits one round of counter samples (queue depth, cache traffic, the
+    /// uarch trace-buffer high-water mark).
+    fn sample_counters(&self, queue_depth: usize, remaining: usize) {
+        let emit = |name: &str, value: f64| {
+            telemetry::emit(telemetry::Level::Info, "harness::exec", || {
+                telemetry::EventKind::CounterSample {
+                    name: name.to_string(),
+                    value,
                 }
+            });
+        };
+        emit("sched.queue_depth", queue_depth as f64);
+        emit("sched.jobs_remaining", remaining as f64);
+        if let Some(cache) = self.cache {
+            let (hits, misses, _) = cache.stats().snapshot();
+            emit("cache.hits", hits as f64);
+            emit("cache.misses", misses as f64);
+            if hits + misses > 0 {
+                emit("cache.hit_rate", hits as f64 / (hits + misses) as f64);
             }
         }
+        emit(
+            "scheduler.peak_trace_buffer_events",
+            uarch::peak_trace_buffer() as f64,
+        );
     }
 }
 
-/// Runs every job of `dag` on `workers` threads (clamped to at least 1)
-/// and returns per-job results plus aggregate statistics. No counter
-/// sampling; see [`execute_opts`].
+/// Runs every job of `dag` on `opts.workers` threads (clamped to at least
+/// 1 and at most the job count) and returns per-job results plus
+/// aggregate statistics.
 pub fn execute(
-    dag: &JobDag,
-    cache: Option<&ArtifactCache>,
-    workers: usize,
-) -> (Vec<JobResult>, ExecStats) {
-    execute_opts(
-        dag,
-        cache,
-        &ExecOptions {
-            workers,
-            sample_interval: None,
-        },
-    )
-}
-
-/// Emits one round of counter samples (queue depth, cache traffic, the
-/// uarch trace-buffer high-water mark).
-fn sample_counters(shared: &Shared<'_>) {
-    let emit = |name: &str, value: f64| {
-        telemetry::emit(telemetry::Level::Info, "harness::exec", || {
-            telemetry::EventKind::CounterSample {
-                name: name.to_string(),
-                value,
-            }
-        });
-    };
-    emit(
-        "sched.queue_depth",
-        shared.ready.load(Ordering::Relaxed) as f64,
-    );
-    emit(
-        "sched.jobs_remaining",
-        shared.remaining.load(Ordering::Relaxed) as f64,
-    );
-    if let Some(cache) = shared.cache {
-        let (hits, misses, _) = cache.stats().snapshot();
-        emit("cache.hits", hits as f64);
-        emit("cache.misses", misses as f64);
-        if hits + misses > 0 {
-            emit("cache.hit_rate", hits as f64 / (hits + misses) as f64);
-        }
-    }
-    emit(
-        "scheduler.peak_trace_buffer_events",
-        uarch::peak_trace_buffer() as f64,
-    );
-}
-
-/// [`execute`] with explicit [`ExecOptions`] (worker count + optional
-/// counter-sampling interval).
-pub fn execute_opts(
     dag: &JobDag,
     cache: Option<&ArtifactCache>,
     opts: &ExecOptions,
@@ -355,6 +298,7 @@ pub fn execute_opts(
             dependents[d].push(id);
         }
     }
+    let ready: VecDeque<JobId> = (0..n).filter(|&j| dag.jobs()[j].deps.is_empty()).collect();
     let shared = Shared {
         dag,
         cache,
@@ -363,99 +307,65 @@ pub fn execute_opts(
         handoffs: (0..n)
             .map(|_| telemetry::handoff("harness::exec"))
             .collect(),
-        results: (0..n).map(|_| Mutex::new(None)).collect(),
-        pending: dag
-            .jobs()
-            .iter()
-            .map(|j| AtomicUsize::new(j.deps.len()))
-            .collect(),
         dependents,
-        remaining: AtomicUsize::new(n),
-        injector: Mutex::new(VecDeque::new()),
-        locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-        ready: AtomicUsize::new(0),
-        max_ready: AtomicUsize::new(0),
-        executed: AtomicU64::new(0),
-        from_cache: AtomicU64::new(0),
-        failed: AtomicU64::new(0),
-        skipped: AtomicU64::new(0),
-        stage_wall: Mutex::new(BTreeMap::new()),
-        stage_hist: Mutex::new(BTreeMap::new()),
-        idle_lock: Mutex::new(()),
-        idle_cv: Condvar::new(),
+        state: Mutex::new(State {
+            max_ready: ready.len(),
+            ready,
+            pending: dag.jobs().iter().map(|j| j.deps.len()).collect(),
+            done: vec![None; n],
+            remaining: n,
+        }),
+        wake: Condvar::new(),
     };
-
-    // Seed the injector with every dependency-free job.
-    {
-        let mut injector = shared.injector.lock().expect("injector lock");
-        for (id, job) in dag.jobs().iter().enumerate() {
-            if job.deps.is_empty() {
-                injector.push_back(id);
-            }
-        }
-        let seeded = injector.len();
-        shared.ready.store(seeded, Ordering::Relaxed);
-        shared.max_ready.store(seeded, Ordering::Relaxed);
-    }
 
     if n > 0 {
         std::thread::scope(|scope| {
+            let shared = &shared;
             for worker in 0..workers {
-                let shared = &shared;
                 scope.spawn(move || shared.worker_loop(worker));
             }
-            // Sampler: wakes at the configured interval until the last
-            // job finalizes (`remaining` doubles as the stop flag), then
-            // takes one final sample so short runs still get a data
-            // point per counter.
             if let Some(interval) = opts.sample_interval {
-                let shared = &shared;
-                scope.spawn(move || loop {
-                    sample_counters(shared);
-                    // Sleep in short slices so run completion never waits
-                    // a full sampling interval on this thread.
-                    let mut slept = Duration::ZERO;
-                    while slept < interval {
-                        if shared.remaining.load(Ordering::Acquire) == 0 {
-                            sample_counters(shared);
-                            return;
-                        }
-                        let chunk = (interval - slept).min(Duration::from_millis(5));
-                        std::thread::sleep(chunk);
-                        slept += chunk;
-                    }
-                });
+                scope.spawn(move || shared.sampler_loop(interval));
             }
         });
     }
 
-    let results: Vec<JobResult> = shared
-        .results
-        .iter()
-        .map(|slot| {
-            slot.lock()
-                .expect("result lock")
-                .clone()
-                .expect("every job reaches a terminal state")
-        })
-        .collect();
-    let stats = ExecStats {
+    let state = shared.state.into_inner().expect("scheduler lock");
+    let mut stats = ExecStats {
         workers,
-        executed: shared.executed.load(Ordering::Relaxed),
-        from_cache: shared.from_cache.load(Ordering::Relaxed),
-        failed: shared.failed.load(Ordering::Relaxed),
-        skipped: shared.skipped.load(Ordering::Relaxed),
-        max_queue_depth: shared.max_ready.load(Ordering::Relaxed) as u64,
+        max_queue_depth: state.max_ready as u64,
         wall_clock_us: t0.elapsed().as_micros() as u64,
-        stage_wall_us: shared.stage_wall.into_inner().expect("stage lock"),
-        stage_job_us: shared.stage_hist.into_inner().expect("stage hist lock"),
+        ..ExecStats::default()
     };
+    let mut results = Vec::with_capacity(n);
+    for (job, record) in dag.jobs().iter().zip(state.done) {
+        let (result, elapsed_us) = record.expect("every job reaches a terminal state");
+        match &result {
+            JobResult::Done {
+                from_cache: true, ..
+            } => stats.from_cache += 1,
+            JobResult::Done { .. } => stats.executed += 1,
+            JobResult::Failed(_) => stats.failed += 1,
+            JobResult::Skipped => stats.skipped += 1,
+        }
+        if !matches!(result, JobResult::Skipped) {
+            *stats.stage_wall_us.entry(job.stage.clone()).or_insert(0) += elapsed_us;
+            stats
+                .stage_job_us
+                .entry(job.stage.clone())
+                .or_default()
+                .observe(elapsed_us as f64);
+        }
+        results.push(result);
+    }
     (results, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
     fn out(v: f32) -> Artifact {
         Artifact::Outputs(vec![v])
@@ -463,6 +373,18 @@ mod tests {
 
     fn first(deps: &[Arc<Artifact>]) -> f32 {
         deps[0].as_outputs().unwrap()[0]
+    }
+
+    fn run(
+        dag: &JobDag,
+        cache: Option<&ArtifactCache>,
+        workers: usize,
+    ) -> (Vec<JobResult>, ExecStats) {
+        let opts = ExecOptions {
+            workers,
+            sample_interval: None,
+        };
+        execute(dag, cache, &opts)
     }
 
     #[test]
@@ -492,7 +414,7 @@ mod tests {
             Box::new(|d: &[Arc<Artifact>]| Ok(out(first(d) + d[1].as_outputs().unwrap()[0]))),
         );
         for workers in [1, 4] {
-            let (results, stats) = execute(&dag, None, workers);
+            let (results, stats) = run(&dag, None, workers);
             match &results[d] {
                 JobResult::Done { artifact, .. } => {
                     assert_eq!(artifact.as_outputs().unwrap(), &[112.0]);
@@ -512,7 +434,7 @@ mod tests {
         let mid = dag.add("s", "t", None, vec![f], Box::new(|_| Ok(out(0.0))));
         let leaf = dag.add("s", "t", None, vec![mid], Box::new(|_| Ok(out(0.0))));
         let solo = dag.add("s", "t", None, vec![], Box::new(|_| Ok(out(7.0))));
-        let (results, stats) = execute(&dag, None, 2);
+        let (results, stats) = run(&dag, None, 2);
         assert!(matches!(&results[f], JobResult::Failed(e) if e == "boom"));
         assert!(matches!(results[mid], JobResult::Skipped));
         assert!(matches!(results[leaf], JobResult::Skipped));
@@ -535,9 +457,9 @@ mod tests {
             vec![],
             Box::new(|_| Ok(out(3.0))),
         );
-        let (_, cold) = execute(&dag, Some(&cache), 1);
+        let (_, cold) = run(&dag, Some(&cache), 1);
         assert_eq!((cold.executed, cold.from_cache), (1, 0));
-        let (results, warm) = execute(&dag, Some(&cache), 1);
+        let (results, warm) = run(&dag, Some(&cache), 1);
         assert_eq!((warm.executed, warm.from_cache), (0, 1));
         match &results[0] {
             JobResult::Done {
@@ -560,7 +482,7 @@ mod tests {
         for _ in 0..16 {
             dag.add("s", "t", None, vec![root], Box::new(|_| Ok(out(1.0))));
         }
-        let (results, stats) = execute(&dag, None, 4);
+        let (results, stats) = run(&dag, None, 4);
         assert_eq!(results.len(), 17);
         assert!(results.iter().all(|r| matches!(r, JobResult::Done { .. })));
         assert!(
@@ -568,5 +490,141 @@ mod tests {
             "depth {}",
             stats.max_queue_depth
         );
+    }
+
+    /// Per-job probes shared with the job bodies.
+    #[derive(Default)]
+    struct Probe {
+        /// Ticket clock: every body takes one ticket at start and one at end.
+        clock: AtomicUsize,
+        runs: Vec<AtomicUsize>,
+        started: Vec<AtomicUsize>,
+        ended: Vec<AtomicUsize>,
+        /// Wall time each body measured for itself, microseconds.
+        body_us: Vec<AtomicU64>,
+    }
+
+    /// Job `j` of a generated DAG: a dependency mask over the 32 ids
+    /// below it (each picked with probability 1/4), a failure roll and
+    /// a stage index.
+    type GenJob = (u64, u8, u8);
+
+    fn deps_of(j: usize, mask: u64) -> Vec<JobId> {
+        (j.saturating_sub(32)..j)
+            .filter(|&d| (mask >> (2 * (d % 32))) & 3 == 0)
+            .collect()
+    }
+
+    fn random_dag(spec: &[GenJob], probe: &Arc<Probe>) -> JobDag {
+        let mut dag = JobDag::new();
+        for (j, &(mask, roll, stage)) in spec.iter().enumerate() {
+            let probe = Arc::clone(probe);
+            let fails = roll < 40;
+            dag.add(
+                format!("stage{stage}"),
+                "t",
+                None,
+                deps_of(j, mask),
+                Box::new(move |_: &[Arc<Artifact>]| {
+                    let t0 = Instant::now();
+                    let start = probe.clock.fetch_add(1, Ordering::SeqCst);
+                    probe.started[j].store(start, Ordering::SeqCst);
+                    probe.runs[j].fetch_add(1, Ordering::SeqCst);
+                    let result = if fails {
+                        Err(format!("job {j} failed"))
+                    } else {
+                        Ok(out(j as f32))
+                    };
+                    let end = probe.clock.fetch_add(1, Ordering::SeqCst);
+                    probe.ended[j].store(end, Ordering::SeqCst);
+                    probe.body_us[j].store(t0.elapsed().as_micros() as u64, Ordering::SeqCst);
+                    result
+                }),
+            );
+        }
+        dag
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn random_dags_keep_the_executor_contract(
+            spec in proptest::collection::vec((any::<u64>(), any::<u8>(), 0u8..3), 1..40),
+        ) {
+            let n = spec.len();
+            // The reference outcome, in id order: a job is skipped when a
+            // dependency did not succeed, else it fails on its roll.
+            let mut expected = Vec::with_capacity(n);
+            for (j, &(mask, roll, _)) in spec.iter().enumerate() {
+                let upstream_ok = deps_of(j, mask).iter().all(|&d| expected[d] == "done");
+                expected.push(match (upstream_ok, roll < 40) {
+                    (false, _) => "skipped",
+                    (true, true) => "failed",
+                    (true, false) => "done",
+                });
+            }
+            for workers in [1, 2, 4] {
+                let probe = Arc::new(Probe {
+                    runs: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+                    started: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+                    ended: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+                    body_us: (0..n).map(|_| AtomicU64::new(0)).collect(),
+                    ..Probe::default()
+                });
+                let dag = random_dag(&spec, &probe);
+                let (results, stats) = run(&dag, None, workers);
+
+                let outcome: Vec<&str> = results
+                    .iter()
+                    .map(|r| match r {
+                        JobResult::Done { from_cache: false, .. } => "done",
+                        JobResult::Done { .. } => "cached",
+                        JobResult::Failed(_) => "failed",
+                        JobResult::Skipped => "skipped",
+                    })
+                    .collect();
+                prop_assert_eq!(&outcome, &expected, "workers {}", workers);
+                let count = |o: &str| expected.iter().filter(|&&e| e == o).count() as u64;
+                prop_assert_eq!(
+                    (stats.executed, stats.from_cache, stats.failed, stats.skipped),
+                    (count("done"), 0, count("failed"), count("skipped"))
+                );
+                prop_assert_eq!(
+                    stats.executed + stats.from_cache + stats.failed + stats.skipped,
+                    n as u64
+                );
+
+                let mut body_sums: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+                for (j, job) in dag.jobs().iter().enumerate() {
+                    let runs = probe.runs[j].load(Ordering::SeqCst);
+                    prop_assert_eq!(runs, usize::from(expected[j] != "skipped"), "job {}", j);
+                    if runs == 0 {
+                        continue;
+                    }
+                    let start = probe.started[j].load(Ordering::SeqCst);
+                    for &d in &job.deps {
+                        let dep_end = probe.ended[d].load(Ordering::SeqCst);
+                        prop_assert!(dep_end < start, "job {} started before dep {} ended", j, d);
+                    }
+                    let sums = body_sums.entry(job.stage.clone()).or_default();
+                    sums.0 += 1;
+                    sums.1 += probe.body_us[j].load(Ordering::SeqCst);
+                }
+                // One histogram sample per job that reached its body; the
+                // wall sums are those samples' totals and cover the
+                // bodies' own measured time.
+                let stages: Vec<&String> = body_sums.keys().collect();
+                prop_assert_eq!(stats.stage_wall_us.keys().collect::<Vec<_>>(), stages.clone());
+                prop_assert_eq!(stats.stage_job_us.keys().collect::<Vec<_>>(), stages);
+                for (stage, &(jobs, body_us)) in &body_sums {
+                    let wall = stats.stage_wall_us[stage];
+                    let hist = &stats.stage_job_us[stage];
+                    prop_assert_eq!(hist.count, jobs);
+                    prop_assert_eq!(hist.sum, wall as f64);
+                    prop_assert!(wall >= body_us, "{}: wall {} < bodies {}", stage, wall, body_us);
+                }
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! A [`SweepSpec`] is declarative — experiments, benchmarks, scale,
 //! compile parameters, root seed, worker count, cache directory.
 //! [`run_sweep`] expands it into one [`crate::dag::JobDag`], executes it
-//! on the work-stealing pool, and folds the per-job results into a
+//! on the [`crate::exec`] worker pool, and folds the per-job results into a
 //! [`SweepResult`] the presentation layer (row builders, report writers)
 //! consumes.
 
@@ -55,8 +55,9 @@ pub enum Experiment {
 }
 
 impl Experiment {
-    /// Every paper experiment plus reports (what `run_all` runs). `Train`
-    /// is excluded: it is subsumed by anything that needs a network.
+    /// Every paper experiment plus reports (what `parrot-run` runs when no
+    /// experiment is named). `Train` is excluded: it is subsumed by
+    /// anything that needs a network.
     pub fn all() -> Vec<Experiment> {
         vec![
             Experiment::Table1,
@@ -433,7 +434,7 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<SweepResult, String> {
             .sample_interval_us
             .map(std::time::Duration::from_micros),
     };
-    let (results, stats) = exec::execute_opts(&dag, cache.as_ref(), &opts);
+    let (results, stats) = exec::execute(&dag, cache.as_ref(), &opts);
 
     let mut artifacts = BTreeMap::new();
     let mut failures = Vec::new();

@@ -1,13 +1,11 @@
 //! `parrot-serve-bench` — open/closed-loop load generator for
 //! `parrot-serve`.
 //!
-//! Each simulated client runs as one dependency-free job on the harness
-//! work-stealing executor (`harness::execute`), so client concurrency
-//! reuses the same worker threads, spans, and stats plumbing as the
-//! experiment sweeps. Clients derive the *same* deterministic tenant
-//! fleet as the daemon from the same flags, which lets them verify
-//! every NPU-path reply bit-for-bit against `NpuConfig::evaluate`
-//! without configs ever crossing the wire.
+//! Each simulated client runs on its own scoped thread with its own
+//! connection and returns its stats when done. Clients derive the *same*
+//! deterministic tenant fleet as the daemon from the same flags, which
+//! lets them verify every NPU-path reply bit-for-bit against
+//! `NpuConfig::evaluate` without configs ever crossing the wire.
 //!
 //! `--compare` measures a serial baseline (one client, window 1 — every
 //! request pays the full round trip and a lone batch) before the
@@ -16,7 +14,6 @@
 //! whose `serving` section is the daemon's own final accounting,
 //! fetched through the protocol's `Stats` request.
 
-use harness::{execute, Artifact, JobDag};
 use npu::NpuConfig;
 use serve::cli::{die, fleet_flag, take_parsed, take_value, FLEET_USAGE};
 use serve::fleet::{derive_fleet, request_inputs, FleetOptions};
@@ -54,18 +51,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Flat float layout a client job packs its stats into (the harness
-/// artifact type for numeric payloads is `Outputs(Vec<f32>)`): seven
-/// counters, then one latency sample per completed request.
-const STAT_COMPLETED: usize = 0;
-const STAT_NPU: usize = 1;
-const STAT_PRECISE: usize = 2;
-const STAT_REJECTED: usize = 3;
-const STAT_TIMED_OUT: usize = 4;
-const STAT_ERRORS: usize = 5;
-const STAT_MISMATCHES: usize = 6;
-const STAT_HEADER: usize = 7;
-
 #[derive(Clone)]
 struct LoadSpec {
     addr: Listen,
@@ -88,22 +73,7 @@ struct ClientStats {
     timed_out: u64,
     errors: u64,
     mismatches: u64,
-    latencies_us: Vec<f32>,
-}
-
-impl ClientStats {
-    fn pack(self) -> Vec<f32> {
-        let mut v = vec![0.0f32; STAT_HEADER];
-        v[STAT_COMPLETED] = self.completed as f32;
-        v[STAT_NPU] = self.npu as f32;
-        v[STAT_PRECISE] = self.precise as f32;
-        v[STAT_REJECTED] = self.rejected as f32;
-        v[STAT_TIMED_OUT] = self.timed_out as f32;
-        v[STAT_ERRORS] = self.errors as f32;
-        v[STAT_MISMATCHES] = self.mismatches as f32;
-        v.extend_from_slice(&self.latencies_us);
-        v
-    }
+    latencies_us: Vec<u64>,
 }
 
 struct InFlight {
@@ -114,7 +84,7 @@ struct InFlight {
 }
 
 /// One client's whole life: connect, pump `requests` invocations,
-/// return packed stats. Deterministic request content; wall-clock
+/// return its stats. Deterministic request content; wall-clock
 /// timing only affects latency samples.
 fn run_client(client_id: usize, spec: &LoadSpec) -> Result<ClientStats, String> {
     let fleet = derive_fleet(&spec.fleet);
@@ -198,7 +168,7 @@ fn run_client(client_id: usize, spec: &LoadSpec) -> Result<ClientStats, String> 
                 stats.completed += 1;
                 stats
                     .latencies_us
-                    .push(fl.sent.elapsed().as_micros() as f32);
+                    .push(fl.sent.elapsed().as_micros() as u64);
                 if precise {
                     stats.precise += 1;
                 } else {
@@ -316,46 +286,41 @@ fn run_client(client_id: usize, spec: &LoadSpec) -> Result<ClientStats, String> 
     Ok(stats)
 }
 
-/// Runs one load phase: `clients` jobs on the harness executor, merged
+/// Runs one load phase: `clients` concurrent client threads, merged
 /// stats + wall time back.
-fn run_phase(name: &str, clients: usize, spec: &LoadSpec) -> (ClientStats, Histogram, u64) {
-    let mut dag = JobDag::new();
-    for c in 0..clients {
-        let spec = spec.clone();
-        dag.add(
-            "serve-bench",
-            name,
-            None,
-            Vec::new(),
-            Box::new(move |_deps| run_client(c, &spec).map(|s| Artifact::Outputs(s.pack()))),
-        );
-    }
+fn run_phase(clients: usize, spec: &LoadSpec) -> (ClientStats, Histogram, u64) {
     let t0 = Instant::now();
-    let (results, _exec) = execute(&dag, None, clients);
+    let results: Vec<Result<ClientStats, String>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|c| scope.spawn(move || run_client(c, spec)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread panicked"))
+            .collect()
+    });
     let wall_us = t0.elapsed().as_micros() as u64;
 
     let mut merged = ClientStats::default();
     let mut latency = Histogram::default();
     for r in results {
         match r {
-            harness::JobResult::Done { artifact, .. } => {
-                let v = artifact.as_outputs().expect("bench jobs emit Outputs");
-                merged.completed += v[STAT_COMPLETED] as u64;
-                merged.npu += v[STAT_NPU] as u64;
-                merged.precise += v[STAT_PRECISE] as u64;
-                merged.rejected += v[STAT_REJECTED] as u64;
-                merged.timed_out += v[STAT_TIMED_OUT] as u64;
-                merged.errors += v[STAT_ERRORS] as u64;
-                merged.mismatches += v[STAT_MISMATCHES] as u64;
-                for &l in &v[STAT_HEADER..] {
-                    latency.observe(f64::from(l));
+            Ok(s) => {
+                merged.completed += s.completed;
+                merged.npu += s.npu;
+                merged.precise += s.precise;
+                merged.rejected += s.rejected;
+                merged.timed_out += s.timed_out;
+                merged.errors += s.errors;
+                merged.mismatches += s.mismatches;
+                for l in s.latencies_us {
+                    latency.observe(l as f64);
                 }
             }
-            harness::JobResult::Failed(e) => {
-                eprintln!("client job failed: {e}");
+            Err(e) => {
+                eprintln!("client failed: {e}");
                 merged.errors += 1;
             }
-            harness::JobResult::Skipped => merged.errors += 1,
         }
     }
     (merged, latency, wall_us)
@@ -475,7 +440,7 @@ fn main() {
             requests: serial_requests,
             ..spec.clone()
         };
-        let (stats, latency, wall_us) = run_phase("serial", 1, &serial_spec);
+        let (stats, latency, wall_us) = run_phase(1, &serial_spec);
         serial_rps = throughput_rps(stats.completed, wall_us);
         println!(
             "serial   : {:>7} completed in {:>7.1} ms -> {:>9.0} req/s (p50 {:.0}us p99 {:.0}us)",
@@ -502,7 +467,7 @@ fn main() {
     }
 
     // The measured (batch-friendly) run.
-    let (stats, latency, wall_us) = run_phase("batched", clients, &spec);
+    let (stats, latency, wall_us) = run_phase(clients, &spec);
     let rps = throughput_rps(stats.completed, wall_us);
     println!(
         "{:<9}: {:>7} completed in {:>7.1} ms -> {:>9.0} req/s (p50 {:.0}us p99 {:.0}us)",

@@ -378,7 +378,7 @@ impl ServingSummary {
 pub struct RunReport {
     /// Layout version ([`SCHEMA_VERSION`]).
     pub schema_version: u64,
-    /// The suite or binary that produced the report (e.g. `run_all`).
+    /// The suite or binary that produced the report (e.g. `parrot-run`).
     pub suite: String,
     /// Benchmark name (`fft`, `sobel`, …).
     pub benchmark: String,
