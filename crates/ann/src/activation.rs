@@ -90,11 +90,6 @@ impl SigmoidLut {
         static HARDWARE: std::sync::OnceLock<SigmoidLut> = std::sync::OnceLock::new();
         HARDWARE.get_or_init(SigmoidLut::default)
     }
-
-    /// Worst-case quantization step between adjacent table inputs.
-    pub fn input_step(&self) -> f32 {
-        2.0 * self.bound / (self.table.len() - 1) as f32
-    }
 }
 
 impl Default for SigmoidLut {

@@ -311,16 +311,6 @@ impl QuantizedMlp {
         self.weight_bits
     }
 
-    /// The activation (network I/O) format.
-    pub fn act_format(&self) -> QFormat {
-        self.act_fmt
-    }
-
-    /// The datapath accumulator format.
-    pub fn acc_format(&self) -> QFormat {
-        self.acc_fmt
-    }
-
     /// Layer sizes, input layer first.
     pub fn layers(&self) -> &[usize] {
         &self.layers

@@ -10,7 +10,7 @@ use approx_ir::{NpuPort, OpClass, TraceEvent, TraceSink};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use npu::{NpuConfig, NpuParams, NpuSim};
 use parrot::NpuRuntime;
-use uarch::{Core, CoreConfig};
+use uarch::{Core, CoreConfig, NpuAttachment};
 
 #[path = "../../uarch/tests/support/golden_trace.rs"]
 mod golden_trace;
@@ -343,7 +343,10 @@ fn bench_core_mixed(c: &mut Criterion) {
     let events = golden_trace();
     c.bench_function("core_sim_mixed", |b| {
         b.iter(|| {
-            let mut core = Core::with_ideal_npu(CoreConfig::penryn_like(), NPU_INPUTS, NPU_OUTPUTS);
+            let mut core = Core::with_attachment(
+                CoreConfig::penryn_like(),
+                NpuAttachment::ideal(NPU_INPUTS, NPU_OUTPUTS),
+            );
             for ev in &events {
                 core.feed(*ev);
             }

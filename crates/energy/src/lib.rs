@@ -147,11 +147,6 @@ impl EnergyBreakdown {
             + self.npu_dynamic_pj
             + self.npu_static_pj
     }
-
-    /// Total energy in millijoules (for human-readable reports).
-    pub fn total_mj(&self) -> f64 {
-        self.total_pj() * 1e-9
-    }
 }
 
 /// Prices [`SimStats`] and [`NpuStats`] event counts into energy.

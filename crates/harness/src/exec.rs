@@ -14,9 +14,11 @@
 //! Cache interaction is centralized here: before running a body the
 //! executor consults the [`ArtifactCache`] under the job's `(stage, key)`
 //! and skips execution on a hit; after a successful run it stores the
-//! artifact back. Failures propagate: dependents of a failed job are
-//! marked skipped without running. [`ExecStats`] is folded from the
-//! terminal records in one pass after the run.
+//! artifact back. A body that panics fails its job like one that returns
+//! an error, so its worker still records the job and the run ends.
+//! Failures propagate: dependents of a failed job are marked skipped
+//! without running. [`ExecStats`] is folded from the terminal records in
+//! one pass after the run.
 //!
 //! Tracing: the submitting thread captures one [`telemetry::Handoff`]
 //! per job inside the sweep-level span, and the worker adopts it before
@@ -28,8 +30,9 @@
 
 use crate::artifact::Artifact;
 use crate::cache::ArtifactCache;
-use crate::dag::{JobDag, JobId};
+use crate::dag::{Job, JobDag, JobId};
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -43,7 +46,7 @@ pub enum JobResult {
         /// Whether it came from the cache instead of running the body.
         from_cache: bool,
     },
-    /// The body returned an error.
+    /// The body returned an error or panicked.
     Failed(String),
     /// An upstream dependency failed, so the body never ran.
     Skipped,
@@ -201,7 +204,7 @@ impl Shared<'_> {
         // Warm path: serve from the cache without running the body.
         let result = match cache.and_then(|(cache, key)| cache.load(&node.stage, key)) {
             Some(artifact) => Ok((artifact, true)),
-            None => (node.run)(deps).map(|artifact| {
+            None => run_body(node, deps).map(|artifact| {
                 if let Some((cache, key)) = cache {
                     if let Err(e) = cache.store(&node.stage, key, &artifact) {
                         eprintln!(
@@ -278,6 +281,19 @@ impl Shared<'_> {
             uarch::peak_trace_buffer() as f64,
         );
     }
+}
+
+/// Runs `node`'s body, turning a panic into an error that carries the
+/// panic message.
+fn run_body(node: &Job, deps: &[Arc<Artifact>]) -> Result<Artifact, String> {
+    catch_unwind(AssertUnwindSafe(|| (node.run)(deps))).unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string payload".into());
+        Err(format!("panicked: {msg}"))
+    })
 }
 
 /// Runs every job of `dag` on `opts.workers` threads (clamped to at least
@@ -366,6 +382,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::mpsc::RecvTimeoutError;
 
     fn out(v: f32) -> Artifact {
         Artifact::Outputs(vec![v])
@@ -444,6 +461,58 @@ mod tests {
         assert_eq!(stats.executed, 1);
     }
 
+    /// Runs `execute` on its own thread and waits at most 60 s for it, so
+    /// an executor that hangs fails the test instead of hanging the suite.
+    fn run_or_time_out(
+        build: impl FnOnce() -> JobDag + Send + 'static,
+        workers: usize,
+    ) -> (Vec<JobResult>, ExecStats) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(run(&build(), None, workers));
+        });
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(run) => run,
+            Err(RecvTimeoutError::Timeout) => panic!("execute hung at {workers} workers"),
+            Err(RecvTimeoutError::Disconnected) => panic!("execute panicked at {workers} workers"),
+        }
+    }
+
+    #[test]
+    fn panicking_body_fails_its_job_and_skips_only_its_dependents() {
+        // boom → mid → leaf and boom → joint ← solo; solo → after.
+        for workers in [1, 2, 4] {
+            let (results, stats) = run_or_time_out(
+                || {
+                    let mut dag = JobDag::new();
+                    let boom = dag.add("s", "t", None, vec![], Box::new(|_| panic!("kaboom")));
+                    let mid = dag.add("s", "t", None, vec![boom], Box::new(|_| Ok(out(0.0))));
+                    dag.add("s", "t", None, vec![mid], Box::new(|_| Ok(out(0.0))));
+                    let solo = dag.add("s", "t", None, vec![], Box::new(|_| Ok(out(7.0))));
+                    dag.add("s", "t", None, vec![boom, solo], Box::new(|_| Ok(out(0.0))));
+                    dag.add("s", "t", None, vec![solo], Box::new(|_| Ok(out(1.0))));
+                    dag
+                },
+                workers,
+            );
+            let outcome: Vec<&str> = results
+                .iter()
+                .map(|r| match r {
+                    JobResult::Done { .. } => "done",
+                    JobResult::Failed(e) if e == "panicked: kaboom" => "panicked",
+                    JobResult::Failed(_) => "failed",
+                    JobResult::Skipped => "skipped",
+                })
+                .collect();
+            assert_eq!(
+                outcome,
+                ["panicked", "skipped", "skipped", "done", "skipped", "done"],
+                "workers {workers}"
+            );
+            assert_eq!((stats.executed, stats.failed, stats.skipped), (2, 1, 3));
+        }
+    }
+
     #[test]
     fn cache_hit_skips_the_body() {
         let dir = std::env::temp_dir().join(format!("harness-exec-{}", std::process::id()));
@@ -505,9 +574,18 @@ mod tests {
     }
 
     /// Job `j` of a generated DAG: a dependency mask over the 32 ids
-    /// below it (each picked with probability 1/4), a failure roll and
-    /// a stage index.
+    /// below it (each picked with probability 1/4), a fate roll and a
+    /// stage index.
     type GenJob = (u64, u8, u8);
+
+    /// What a body does on `roll`: fail (5/32), panic (3/32) or succeed.
+    fn fate(roll: u8) -> &'static str {
+        match roll {
+            0..=39 => "failed",
+            40..=63 => "panicked",
+            _ => "done",
+        }
+    }
 
     fn deps_of(j: usize, mask: u64) -> Vec<JobId> {
         (j.saturating_sub(32)..j)
@@ -519,7 +597,7 @@ mod tests {
         let mut dag = JobDag::new();
         for (j, &(mask, roll, stage)) in spec.iter().enumerate() {
             let probe = Arc::clone(probe);
-            let fails = roll < 40;
+            let fate = fate(roll);
             dag.add(
                 format!("stage{stage}"),
                 "t",
@@ -530,15 +608,14 @@ mod tests {
                     let start = probe.clock.fetch_add(1, Ordering::SeqCst);
                     probe.started[j].store(start, Ordering::SeqCst);
                     probe.runs[j].fetch_add(1, Ordering::SeqCst);
-                    let result = if fails {
-                        Err(format!("job {j} failed"))
-                    } else {
-                        Ok(out(j as f32))
-                    };
                     let end = probe.clock.fetch_add(1, Ordering::SeqCst);
                     probe.ended[j].store(end, Ordering::SeqCst);
                     probe.body_us[j].store(t0.elapsed().as_micros() as u64, Ordering::SeqCst);
-                    result
+                    match fate {
+                        "failed" => Err(format!("job {j} failed")),
+                        "panicked" => panic!("job {j} panicked"),
+                        _ => Ok(out(j as f32)),
+                    }
                 }),
             );
         }
@@ -554,15 +631,11 @@ mod tests {
         ) {
             let n = spec.len();
             // The reference outcome, in id order: a job is skipped when a
-            // dependency did not succeed, else it fails on its roll.
+            // dependency did not succeed, else its roll decides.
             let mut expected = Vec::with_capacity(n);
             for (j, &(mask, roll, _)) in spec.iter().enumerate() {
                 let upstream_ok = deps_of(j, mask).iter().all(|&d| expected[d] == "done");
-                expected.push(match (upstream_ok, roll < 40) {
-                    (false, _) => "skipped",
-                    (true, true) => "failed",
-                    (true, false) => "done",
-                });
+                expected.push(if upstream_ok { fate(roll) } else { "skipped" });
             }
             for workers in [1, 2, 4] {
                 let probe = Arc::new(Probe {
@@ -580,6 +653,7 @@ mod tests {
                     .map(|r| match r {
                         JobResult::Done { from_cache: false, .. } => "done",
                         JobResult::Done { .. } => "cached",
+                        JobResult::Failed(e) if e.starts_with("panicked: ") => "panicked",
                         JobResult::Failed(_) => "failed",
                         JobResult::Skipped => "skipped",
                     })
@@ -588,7 +662,7 @@ mod tests {
                 let count = |o: &str| expected.iter().filter(|&&e| e == o).count() as u64;
                 prop_assert_eq!(
                     (stats.executed, stats.from_cache, stats.failed, stats.skipped),
-                    (count("done"), 0, count("failed"), count("skipped"))
+                    (count("done"), 0, count("failed") + count("panicked"), count("skipped"))
                 );
                 prop_assert_eq!(
                     stats.executed + stats.from_cache + stats.failed + stats.skipped,

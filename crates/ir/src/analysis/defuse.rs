@@ -1,8 +1,8 @@
 //! Instruction-level def/use extraction and per-register chains.
 //!
 //! These helpers are the single source of truth for "which registers does
-//! this instruction read and write" — the optimizer and every dataflow
-//! analysis build on them, so a new instruction variant only needs to be
+//! this instruction read and write" — every dataflow analysis and the
+//! verifier build on them, so a new instruction variant only needs to be
 //! described once.
 
 use crate::{Function, Inst, Reg};
@@ -138,14 +138,6 @@ impl DefUse {
     pub fn uses(&self, r: Reg) -> &[usize] {
         self.uses.get(r.0 as usize).map_or(&[], |v| v)
     }
-
-    /// The unique def site of `r`, if it is written exactly once.
-    pub fn single_def(&self, r: Reg) -> Option<usize> {
-        match self.defs(r) {
-            [one] => Some(*one),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -164,8 +156,8 @@ mod tests {
         let du = DefUse::build(&f);
         assert_eq!(du.defs(x), &[] as &[usize], "params have no def site");
         assert_eq!(du.uses(x), &[1]);
-        assert_eq!(du.single_def(two), Some(0));
-        assert_eq!(du.single_def(y), Some(1));
+        assert_eq!(du.defs(two), &[0]);
+        assert_eq!(du.defs(y), &[1]);
         assert_eq!(du.uses(y), &[2]);
     }
 

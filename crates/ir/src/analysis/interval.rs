@@ -1,4 +1,4 @@
-//! Interval (value-range) analysis: the [`absint`](super::absint) solver
+//! Interval (value-range) analysis: the [`absint`] solver
 //! instantiated with a numeric range domain.
 //!
 //! Every register is tracked as one of four abstract values
@@ -1285,7 +1285,6 @@ pub struct InstFacts {
 #[derive(Debug, Clone)]
 pub struct IntervalAnalysis {
     facts: Vec<InstFacts>,
-    block_in: Vec<Option<IntervalState>>,
     passes: usize,
 }
 
@@ -1362,7 +1361,6 @@ impl IntervalAnalysis {
         }
         IntervalAnalysis {
             facts,
-            block_in: sol.block_in,
             passes: sol.passes,
         }
     }
@@ -1388,15 +1386,6 @@ impl IntervalAnalysis {
             .get(i)
             .and_then(|f| f.post.iter().find(|(reg, _)| *reg == r))
             .map_or(AbsValue::Bottom, |(_, v)| *v)
-    }
-
-    /// The abstract value of `r` at the entry of block `b` (block ids as
-    /// assigned by [`Cfg::build`] on the same function).
-    pub fn at_block_entry(&self, b: usize, r: Reg) -> AbsValue {
-        self.block_in
-            .get(b)
-            .and_then(|s| s.as_ref())
-            .map_or(AbsValue::Bottom, |s| s.get(r))
     }
 
     /// The per-instruction facts, indexed by instruction.

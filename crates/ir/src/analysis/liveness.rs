@@ -1,10 +1,9 @@
 //! Per-block live-register analysis (backward may-dataflow).
 //!
 //! `live_in[b]` = registers whose current value may be read before being
-//! overwritten on some path starting at block `b`. The optimizer's dead
-//! code elimination walks each block backward from `live_out[b]` to find
-//! definitions no path ever reads, replacing the old whole-function
-//! "read anywhere" over-approximation.
+//! overwritten on some path starting at block `b`. The verifier's
+//! dead-store lint walks each block backward from `live_out[b]` to find
+//! definitions no path ever reads.
 
 use super::cfg::Cfg;
 use super::defuse::{defs_of, uses_of};

@@ -7,7 +7,7 @@
 //! interpreter error deep inside an observation run. The analyses here
 //! give the whole workspace a reusable dataflow stack:
 //!
-//! * [`cfg`] — basic blocks and control-flow edges recovered from the
+//! * [`cfg`](mod@cfg) — basic blocks and control-flow edges recovered from the
 //!   flat label/branch structure, with reverse-postorder iteration;
 //! * [`dom`] — immediate dominators (iterative Cooper–Harvey–Kennedy);
 //! * [`defuse`] — per-instruction def/use sets and per-register
@@ -27,9 +27,6 @@
 //!   every concrete value falls inside its inferred interval;
 //! * [`verify`] — the region safety verifier (`parrot-lint`): the lint
 //!   catalogue mapping the paper's §3.1 criteria onto concrete checks.
-//!
-//! The optimizer ([`crate::opt`]) consumes the same CFG and liveness
-//! results, replacing its former straight-line-only conservatism.
 
 pub mod absint;
 pub mod cfg;

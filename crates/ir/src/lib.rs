@@ -47,8 +47,6 @@ mod error;
 mod func;
 mod inst;
 mod interp;
-pub mod opt;
-mod profile;
 mod program;
 mod trace;
 
@@ -58,7 +56,6 @@ pub use error::IrError;
 pub use func::Function;
 pub use inst::{CmpOp, FBinOp, FUnOp, IBinOp, Inst, Label, Reg};
 pub use interp::{Interpreter, NpuPort, RunOutcome, Value};
-pub use profile::Profile;
 pub use program::{FuncId, Program};
 pub use trace::{
     BranchInfo, CountingSink, MemAccess, NullSink, OpClass, TraceEvent, TraceSink, VecSink,

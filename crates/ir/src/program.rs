@@ -54,14 +54,6 @@ impl Program {
         self.functions.get(index as usize)
     }
 
-    /// Looks a function up by name.
-    pub fn function_id_by_name(&self, name: &str) -> Option<FuncId> {
-        self.functions
-            .iter()
-            .position(|f| f.name() == name)
-            .map(|i| FuncId(i as u32))
-    }
-
     /// All functions in id order.
     pub fn functions(&self) -> &[Function] {
         &self.functions
@@ -75,24 +67,5 @@ impl Program {
     /// Whether the program has no functions.
     pub fn is_empty(&self) -> bool {
         self.functions.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::FunctionBuilder;
-
-    #[test]
-    fn lookup_by_name() {
-        let mut program = Program::new();
-        for name in ["a", "b", "c"] {
-            let mut b = FunctionBuilder::new(name, 0);
-            b.ret(&[]);
-            program.add_function(b.build().unwrap());
-        }
-        assert_eq!(program.function_id_by_name("b"), Some(FuncId(1)));
-        assert_eq!(program.function_id_by_name("zz"), None);
-        assert_eq!(program.len(), 3);
     }
 }

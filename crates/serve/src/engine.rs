@@ -649,12 +649,6 @@ impl Engine {
             tenants,
         }
     }
-
-    /// Tenant names in registration order (the wire has no listing
-    /// request; the daemon logs this at startup).
-    pub fn tenant_names(&self) -> Vec<String> {
-        self.tenants.iter().map(|t| t.spec.name.clone()).collect()
-    }
 }
 
 /// Iterates [`Engine::flush`] until no tenant has queued work,

@@ -4,15 +4,14 @@
 //! Three layers, usable independently:
 //!
 //! 1. **Events** — typed records ([`EventKind`]) emitted through a global
-//!    collector to pluggable [`Sink`]s (stderr pretty-printer, JSONL
-//!    file, Chrome trace-event export, in-memory capture) and retained in
-//!    a bounded ring buffer. Emission is gated on a single relaxed atomic
-//!    load, so instrumentation left in simulator hot loops is effectively
-//!    free while the level is [`Level::Off`] (the default). Every event
-//!    carries a dense per-thread ordinal, and [`Span`]s carry
-//!    process-unique span/parent ids propagated through a thread-local
-//!    context stack — across threads via [`Handoff`] tokens — so a
-//!    multi-worker sweep serializes into a causally linked trace.
+//!    collector to pluggable [`Sink`]s (stderr pretty-printer, Chrome
+//!    trace-event export, in-memory capture). Emission is gated on a
+//!    single relaxed atomic load, so instrumentation left in simulator hot
+//!    loops is effectively free while the level is [`Level::Off`] (the
+//!    default). Every event carries a dense per-thread ordinal, and
+//!    [`Span`]s carry process-unique span/parent ids propagated through a
+//!    thread-local context stack — across threads via [`Handoff`] tokens
+//!    — so a multi-worker sweep serializes into a causally linked trace.
 //! 2. **Metrics** — a [`MetricsRegistry`] of namespaced counters, gauges,
 //!    and log-bucketed [`Histogram`]s (p50/p90/p99/p99.9) that every
 //!    subsystem (core simulator, NPU, trainer) exports into under its own
@@ -49,7 +48,6 @@
 mod event;
 mod metrics;
 mod report;
-mod ring;
 mod sink;
 mod span;
 mod trace;
@@ -60,8 +58,7 @@ pub use report::{
     Distribution, LintSummary, PhaseTiming, PrecisionRow, PrecisionSummary, RunReport,
     SchedulerSummary, ServingSummary, TenantServing, SCHEMA_VERSION,
 };
-pub use ring::RingBuffer;
-pub use sink::{CaptureSink, JsonlSink, NullSink, Sink, StderrSink};
+pub use sink::{CaptureSink, Sink, StderrSink};
 pub use span::{ContextGuard, Handoff, Span};
 pub use trace::ChromeTraceSink;
 
@@ -114,11 +111,8 @@ pub(crate) mod collector {
         })
     }
 
-    const DEFAULT_RING_CAPACITY: usize = 1024;
-
     pub(crate) struct State {
         sinks: Vec<Box<dyn Sink>>,
-        ring: RingBuffer,
         seq: u64,
         epoch: Instant,
     }
@@ -127,7 +121,6 @@ pub(crate) mod collector {
         fn new() -> State {
             State {
                 sinks: Vec::new(),
-                ring: RingBuffer::new(DEFAULT_RING_CAPACITY),
                 seq: 0,
                 epoch: Instant::now(),
             }
@@ -172,7 +165,6 @@ pub(crate) mod collector {
             for sink in &state.sinks {
                 sink.record(&event);
             }
-            state.ring.push(event);
         });
     }
 
@@ -186,14 +178,6 @@ pub(crate) mod collector {
                 sink.flush();
             }
         });
-    }
-
-    pub(crate) fn recent_events() -> Vec<Event> {
-        with_state(|state| state.ring.snapshot())
-    }
-
-    pub(crate) fn set_ring_capacity(capacity: usize) {
-        with_state(|state| state.ring = RingBuffer::new(capacity));
     }
 
     pub(crate) fn record_sample(key: &str, value: f64) {
@@ -292,16 +276,6 @@ pub fn install_stderr_sink() {
     add_sink(Box::new(StderrSink));
 }
 
-/// Installs a JSONL file sink writing to `path`.
-///
-/// # Errors
-///
-/// Fails if the file cannot be created.
-pub fn install_jsonl_sink(path: &std::path::Path) -> std::io::Result<()> {
-    add_sink(Box::new(JsonlSink::create(path)?));
-    Ok(())
-}
-
 /// Installs a Chrome trace-event sink writing to `path` (open the file in
 /// Perfetto or `chrome://tracing`). Call [`flush_sinks`] before exit to
 /// finalize the JSON.
@@ -322,21 +296,8 @@ pub fn capture() -> CaptureSink {
     sink
 }
 
-/// The most recent events retained by the collector's ring buffer,
-/// oldest first.
-pub fn recent_events() -> Vec<Event> {
-    collector::recent_events()
-}
-
-/// Replaces the ring buffer with one of the given capacity (discarding
-/// retained events).
-pub fn set_ring_capacity(capacity: usize) {
-    collector::set_ring_capacity(capacity);
-}
-
-/// Returns the collector to its initial state: level off, no sinks, an
-/// empty ring, empty samples. Intended for tests that must not observe
-/// each other.
+/// Returns the collector to its initial state: level off, no sinks, empty
+/// samples. Intended for tests that must not observe each other.
 pub fn reset() {
     collector::reset();
 }
@@ -380,7 +341,6 @@ mod tests {
         let got = cap.events();
         assert_eq!(got.len(), 2, "trace event must be filtered at debug level");
         assert!(got[0].seq < got[1].seq);
-        assert_eq!(recent_events().len(), 2);
         reset();
     }
 

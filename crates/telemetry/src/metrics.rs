@@ -14,7 +14,7 @@ const BUCKET_SHIFT: u32 = 52 - SUB_BITS;
 
 /// Streaming log-bucketed (HDR-style) histogram.
 ///
-/// Positive samples are binned by exponent plus the top [`SUB_BITS`]
+/// Positive samples are binned by exponent plus the top `SUB_BITS`
 /// mantissa bits of their IEEE-754 representation — a pure bit shift, no
 /// `log2` — so bucket boundaries are bit-exact on every platform and
 /// recording is O(1) with no allocation on the hot path once a bucket
@@ -237,14 +237,6 @@ impl MetricsRegistry {
             .entry(key.to_string())
             .or_default()
             .observe(value);
-    }
-
-    /// Merges a whole histogram into the histogram `key`.
-    pub fn observe_histogram(&mut self, key: &str, hist: &Histogram) {
-        self.histograms
-            .entry(key.to_string())
-            .or_default()
-            .merge(hist);
     }
 
     /// The histogram `key`, if any samples were observed.

@@ -1,9 +1,7 @@
-//! Event destinations: stderr pretty-printing, JSONL files, and an
-//! in-memory capture for tests.
+//! Event destinations: stderr pretty-printing and an in-memory capture
+//! for tests. The Chrome trace-event export lives in `trace.rs`.
 
 use crate::{lock, Event};
-use std::io::Write;
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// A destination for recorded events. Sinks receive every event the
@@ -18,15 +16,6 @@ pub trait Sink: Send {
     fn flush(&self) {}
 }
 
-/// Accepts and discards every event — for measuring collector overhead
-/// without I/O.
-#[derive(Debug, Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn record(&self, _event: &Event) {}
-}
-
 /// Renders each event as one human-readable line on stderr.
 #[derive(Debug, Default)]
 pub struct StderrSink;
@@ -34,33 +23,6 @@ pub struct StderrSink;
 impl Sink for StderrSink {
     fn record(&self, event: &Event) {
         eprintln!("{}", event.render());
-    }
-}
-
-/// Appends each event as one JSON object per line (JSON Lines).
-pub struct JsonlSink {
-    file: Mutex<std::fs::File>,
-}
-
-impl JsonlSink {
-    /// Creates (or truncates) `path` and writes events to it.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the file cannot be created.
-    pub fn create(path: &Path) -> std::io::Result<JsonlSink> {
-        Ok(JsonlSink {
-            file: Mutex::new(std::fs::File::create(path)?),
-        })
-    }
-}
-
-impl Sink for JsonlSink {
-    fn record(&self, event: &Event) {
-        let line = serde::json::to_string(event);
-        let mut file = lock(&self.file);
-        // Best effort: a full disk should not bring the simulation down.
-        let _ = writeln!(file, "{line}");
     }
 }
 
@@ -122,22 +84,5 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].seq, 1);
         assert_eq!(got[1].seq, 2);
-    }
-
-    #[test]
-    fn jsonl_sink_writes_parseable_lines() {
-        let path =
-            std::env::temp_dir().join(format!("telemetry-jsonl-{}.jsonl", std::process::id()));
-        let sink = JsonlSink::create(&path).unwrap();
-        sink.record(&sample());
-        sink.record(&sample());
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            let back: Event = serde::json::from_str(line).unwrap();
-            assert_eq!(back, sample());
-        }
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -12,17 +12,12 @@
 //! `notes` lint counter and the `precision` section (static fixed-point
 //! bit-width requirements); v5 → v6 added the required `serving` section
 //! (the `parrot-serve` invocation server's request/batching/fairness
-//! accounting). v1–v5 reports are deliberately rejected — the checks
-//! below pin that behaviour.
+//! accounting). Reports of any other version are rejected, even when
+//! every field parses.
 
 use telemetry::RunReport;
 
 const GOLDEN: &str = include_str!("data/run_report_v6.json");
-const GOLDEN_V1: &str = include_str!("data/run_report_v1.json");
-const GOLDEN_V2: &str = include_str!("data/run_report_v2.json");
-const GOLDEN_V3: &str = include_str!("data/run_report_v3.json");
-const GOLDEN_V4: &str = include_str!("data/run_report_v4.json");
-const GOLDEN_V5: &str = include_str!("data/run_report_v5.json");
 
 #[test]
 fn golden_report_parses_back() {
@@ -127,68 +122,17 @@ fn golden_report_round_trips_unchanged() {
 }
 
 #[test]
-fn v1_report_without_lint_section_is_rejected() {
-    // The required `lint` field is absent from v1 files, so parsing fails
-    // before the explicit schema-version check even runs.
-    let err = RunReport::from_json(GOLDEN_V1).unwrap_err();
-    assert!(
-        err.to_string().contains("lint") || err.to_string().contains("schema version"),
-        "unexpected rejection reason: {err}"
-    );
-}
-
-#[test]
-fn v2_report_without_scheduler_section_is_rejected() {
-    // v2 files predate the required `scheduler` field (and the v5 `notes`
-    // counter inside `lint`), so parsing fails before the explicit
-    // schema-version check even runs.
-    let err = RunReport::from_json(GOLDEN_V2).unwrap_err();
-    let msg = err.to_string();
-    assert!(
-        msg.contains("scheduler") || msg.contains("notes") || msg.contains("schema version"),
-        "unexpected rejection reason: {err}"
-    );
-}
-
-#[test]
-fn v3_report_without_distributions_is_rejected() {
-    // v3 files predate the required `distributions` section, the bucketed
-    // histogram fields, and the v5 `notes` counter inside `lint`, so
-    // parsing fails before the explicit schema-version check even runs.
-    let err = RunReport::from_json(GOLDEN_V3).unwrap_err();
-    let msg = err.to_string();
-    assert!(
-        msg.contains("distributions")
-            || msg.contains("buckets")
-            || msg.contains("notes")
-            || msg.contains("schema version"),
-        "unexpected rejection reason: {err}"
-    );
-}
-
-#[test]
-fn v4_report_without_precision_section_is_rejected() {
-    // v4 files predate the required `notes` lint counter and the
-    // `precision` section, so parsing fails before the explicit
-    // schema-version check even runs.
-    let err = RunReport::from_json(GOLDEN_V4).unwrap_err();
-    let msg = err.to_string();
-    assert!(
-        msg.contains("precision") || msg.contains("notes") || msg.contains("schema version"),
-        "unexpected rejection reason: {err}"
-    );
-}
-
-#[test]
-fn v5_report_without_serving_section_is_rejected() {
-    // v5 files predate the required `serving` section, so parsing fails
-    // before the explicit schema-version check even runs.
-    let err = RunReport::from_json(GOLDEN_V5).unwrap_err();
-    let msg = err.to_string();
-    assert!(
-        msg.contains("serving") || msg.contains("schema version"),
-        "unexpected rejection reason: {err}"
-    );
+fn older_schema_versions_are_rejected() {
+    let current = format!("\"schema_version\": {},", telemetry::SCHEMA_VERSION);
+    assert!(GOLDEN.contains(&current));
+    for version in 1..telemetry::SCHEMA_VERSION {
+        let old = GOLDEN.replacen(&current, &format!("\"schema_version\": {version},"), 1);
+        let err = RunReport::from_json(&old).unwrap_err();
+        assert!(
+            err.to_string().contains("schema version"),
+            "v{version}: unexpected rejection reason: {err}"
+        );
+    }
 }
 
 #[test]

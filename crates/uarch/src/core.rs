@@ -183,12 +183,6 @@ impl Core {
         Core::with_attachment(cfg, NpuAttachment::Cycle(Box::new(npu)))
     }
 
-    /// Creates a core attached to a hypothetical zero-cycle NPU for a
-    /// region with `n_inputs`/`n_outputs` (Figure 8's "Core + Ideal NPU").
-    pub fn with_ideal_npu(cfg: CoreConfig, n_inputs: usize, n_outputs: usize) -> Self {
-        Core::with_attachment(cfg, NpuAttachment::ideal(n_inputs, n_outputs))
-    }
-
     /// Creates a core with an explicit attachment.
     pub fn with_attachment(cfg: CoreConfig, npu: NpuAttachment) -> Self {
         let ring = cfg.rob_entries.next_power_of_two();
@@ -266,13 +260,6 @@ impl Core {
         while self.unfetched() >= FEED_HIGH_WATER {
             self.step_guarded();
         }
-    }
-
-    /// High-water mark of this core's streaming input buffer (events fed
-    /// but not yet fetched). Bounded by the feed back-pressure threshold
-    /// regardless of trace length.
-    pub fn input_buffer_peak(&self) -> usize {
-        self.input_peak
     }
 
     /// Drains the pipeline and returns the final statistics.

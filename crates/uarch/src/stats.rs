@@ -100,11 +100,6 @@ impl SimStats {
         }
     }
 
-    /// Committed floating-point instructions of every flavour.
-    pub fn fp_ops(&self) -> u64 {
-        self.fp_add_ops + self.fp_mul_ops + self.fp_div_ops + self.fp_sqrt_ops + self.fp_trig_ops
-    }
-
     /// Exports every raw counter and the derived rates into `registry`
     /// under `prefix` (e.g. `uarch.baseline`).
     pub fn export(&self, registry: &mut telemetry::MetricsRegistry, prefix: &str) {

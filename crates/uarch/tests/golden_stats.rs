@@ -10,7 +10,7 @@ mod golden_trace;
 use ann::{Mlp, Normalizer, Topology};
 use golden_trace::{golden_trace, NPU_INPUTS, NPU_OUTPUTS};
 use npu::{NpuConfig, NpuParams, NpuSim, NpuStats};
-use uarch::{Core, CoreConfig, SimStats};
+use uarch::{Core, CoreConfig, NpuAttachment, SimStats};
 
 fn replay(mut core: Core) -> (SimStats, Option<NpuStats>) {
     for ev in golden_trace() {
@@ -83,7 +83,10 @@ fn cpu_core_stats_are_pinned() {
 
 #[test]
 fn ideal_npu_core_stats_are_pinned() {
-    let core = Core::with_ideal_npu(CoreConfig::penryn_like(), NPU_INPUTS, NPU_OUTPUTS);
+    let core = Core::with_attachment(
+        CoreConfig::penryn_like(),
+        NpuAttachment::ideal(NPU_INPUTS, NPU_OUTPUTS),
+    );
     let (stats, npu) = replay(core);
     assert_eq!(npu, None);
     assert_eq!(

@@ -15,7 +15,7 @@ use approx_ir::{BranchInfo, MemAccess, OpClass, TraceEvent};
 use npu::{NpuConfig, NpuParams, NpuSim};
 use proptest::prelude::*;
 use scan_core::ScanCore;
-use uarch::{CacheConfig, Core, CoreConfig, OpLatencies};
+use uarch::{CacheConfig, Core, CoreConfig, NpuAttachment, OpLatencies};
 
 /// Relative weights of the trace generator's block kinds: arithmetic,
 /// unpipelined FP, loads, stores, control flow, NPU invocations.
@@ -364,8 +364,8 @@ proptest! {
         )?;
         compare(
             &events,
-            Core::with_ideal_npu(cfg.clone(), spec.n_in, spec.n_out),
-            ScanCore::with_ideal_npu(cfg.clone(), spec.n_in, spec.n_out),
+            Core::with_attachment(cfg.clone(), NpuAttachment::ideal(spec.n_in, spec.n_out)),
+            ScanCore::with_attachment(cfg.clone(), NpuAttachment::ideal(spec.n_in, spec.n_out)),
             "an ideal NPU",
         )?;
         compare(

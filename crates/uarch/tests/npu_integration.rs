@@ -4,7 +4,7 @@
 use ann::{Mlp, Normalizer, Topology};
 use approx_ir::{OpClass, TraceEvent};
 use npu::{NpuConfig, NpuParams, NpuSim};
-use uarch::{Core, CoreConfig};
+use uarch::{Core, CoreConfig, NpuAttachment};
 
 fn npu_config(layers: Vec<usize>) -> NpuConfig {
     let t = Topology::new(layers).unwrap();
@@ -88,7 +88,7 @@ fn ideal_npu_is_faster_than_cycle_npu() {
     let mut sim = NpuSim::new(NpuParams::default());
     sim.configure(&config).unwrap();
     let mut real = Core::with_npu(CoreConfig::penryn_like(), sim);
-    let mut ideal = Core::with_ideal_npu(CoreConfig::penryn_like(), 4, 2);
+    let mut ideal = Core::with_attachment(CoreConfig::penryn_like(), NpuAttachment::ideal(4, 2));
     for ev in &events {
         real.feed(*ev);
         ideal.feed(*ev);

@@ -89,11 +89,7 @@ impl ScanCore {
         ScanCore::with_attachment(cfg, NpuAttachment::Cycle(Box::new(npu)))
     }
 
-    pub fn with_ideal_npu(cfg: CoreConfig, n_inputs: usize, n_outputs: usize) -> Self {
-        ScanCore::with_attachment(cfg, NpuAttachment::ideal(n_inputs, n_outputs))
-    }
-
-    fn with_attachment(cfg: CoreConfig, npu: NpuAttachment) -> Self {
+    pub fn with_attachment(cfg: CoreConfig, npu: NpuAttachment) -> Self {
         let ring = cfg.rob_entries.next_power_of_two();
         ScanCore {
             hierarchy: MemoryHierarchy::new(cfg.l1d, cfg.l2, cfg.mem_latency),
