@@ -3,7 +3,7 @@
 //!
 //! The topology search trains 30 candidate networks, so these kernels run
 //! hundreds of millions of times per sweep. [`Scratch<W>`] owns flat
-//! activation, delta, gradient and velocity buffers sized once per
+//! activation, delta and velocity buffers sized once per
 //! topology and reused across samples, epochs and candidates, and walks
 //! each weight matrix once per `W` samples. Activations are stored
 //! *lane-major* (`[layer][neuron][lane]`, one contiguous `[f32; W]` block
@@ -22,16 +22,9 @@
 //! batch size and tail position. Trained weights must stay byte-identical
 //! — the harness artifact cache and every golden test depend on it.
 //!
-//! The forward walk and the delta pass are shared; the two weight-update
-//! rules are not, because they round differently:
-//! * per-sample SGD ([`Scratch::backprop_one`], `W = 1`) applies
-//!   `v = µ·v − lr·δ·a; w += v` after every sample;
-//! * minibatch training ([`Scratch::accumulate_block`] +
-//!   [`Scratch::apply_update`], in `batch.rs`) sums `δ·a` over the
-//!   minibatch in sample order, then applies `v = µ·v − lr·G; w += v`.
-//!
-//! Folding one rule into the other would change which products get
-//! rounded, and with them every trained weight.
+//! Training is per-sample SGD: [`Scratch::backprop_one`] (`W = 1`) runs
+//! the shared forward walk and delta pass, then applies
+//! `v = µ·v − lr·δ·a; w += v` after every sample.
 //!
 //! Per-sample SGD has a second, const-width step for one hidden layer of
 //! 2, 4, 8, 16 or 32 neurons ([`Scratch::sgd_step`] picks it once per
@@ -61,12 +54,10 @@ pub struct Scratch<const W: usize = 1> {
     pub(crate) deltas: Vec<f32>,
     /// Neuron offsets per computing layer (0 = first hidden).
     pub(crate) delta_off: Vec<usize>,
-    /// Accumulated minibatch gradient, one entry per weight, laid out
-    /// exactly like the concatenated weight matrices.
-    pub(crate) grads: Vec<f32>,
-    /// Momentum state, same layout as `grads`.
+    /// Momentum state, one entry per weight, laid out exactly like the
+    /// concatenated weight matrices.
     pub(crate) velocity: Vec<f32>,
-    /// `grads`/`velocity` offsets per weight matrix.
+    /// `velocity` offsets per weight matrix.
     pub(crate) vel_off: Vec<usize>,
 }
 
@@ -83,8 +74,7 @@ impl<const W: usize> Scratch<W> {
         s
     }
 
-    /// (Re)binds the buffers to `topology`, zeroing the gradient and
-    /// velocity state. A no-op shape-wise when already bound to the same
+    /// (Re)binds the buffers to `topology`, zeroing the velocity state. A no-op shape-wise when already bound to the same
     /// layer sizes, but the reset always happens — each training run
     /// starts from zero momentum, exactly like a freshly allocated
     /// velocity vector.
@@ -110,10 +100,8 @@ impl<const W: usize> Scratch<W> {
             }
             self.acts.resize(self.act_off.last().unwrap() * W, 0.0);
             self.deltas.resize(self.delta_off.last().unwrap() * W, 0.0);
-            self.grads.resize(*self.vel_off.last().unwrap(), 0.0);
             self.velocity.resize(*self.vel_off.last().unwrap(), 0.0);
         }
-        self.grads.fill(0.0);
         self.velocity.fill(0.0);
     }
 

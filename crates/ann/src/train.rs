@@ -1,6 +1,6 @@
 //! Backpropagation training (paper Section 4.2).
 
-use crate::{mse_with, BatchScratch, Dataset, Mlp, Scratch, LANES};
+use crate::{mse_with, BatchScratch, Dataset, Mlp, Scratch};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -24,14 +24,6 @@ pub struct TrainParams {
     pub epochs: usize,
     /// Seed for per-epoch sample shuffling.
     pub shuffle_seed: u64,
-    /// Samples per weight update. `0` or `1` selects classic per-sample
-    /// SGD, bit-identical to releases that predate this field. Values
-    /// `>= 2` accumulate gradients over each shuffled chunk with the
-    /// batched SIMD kernel ([`BatchScratch`]) and apply one
-    /// momentum-SGD update per chunk (the update uses the gradient
-    /// *sum*, FANN-style, so `learning_rate` keeps its per-sample
-    /// meaning at batch size 1).
-    pub batch_size: usize,
 }
 
 impl Default for TrainParams {
@@ -41,7 +33,6 @@ impl Default for TrainParams {
             momentum: 0.9,
             epochs: 500,
             shuffle_seed: 0x5eed,
-            batch_size: 1,
         }
     }
 }
@@ -117,8 +108,7 @@ impl Trainer {
     /// caller-owned [`BatchScratch`]. All full-dataset MSE evaluations
     /// (initial, final, and the debug learning curve) run `LANES` samples
     /// per walk through the batch scratch (bit-exact at every width); the
-    /// per-epoch update loop is per-sample SGD unless
-    /// [`TrainParams::batch_size`] selects minibatch accumulation.
+    /// per-epoch update loop is per-sample SGD.
     ///
     /// # Panics
     ///
@@ -149,7 +139,6 @@ impl Trainer {
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.params.shuffle_seed);
         let lr = self.params.learning_rate;
         let mu = self.params.momentum;
-        let minibatch = self.params.batch_size.max(1);
         let step = Scratch::sgd_step(mlp.topology());
         // The MSE learning curve costs a full-dataset evaluation per
         // sample, so it is taken (at ~8 points) only when debug tracing
@@ -159,28 +148,8 @@ impl Trainer {
         for epoch in 0..self.params.epochs {
             let epoch_start = std::time::Instant::now();
             order.shuffle(&mut rng);
-            if minibatch <= 1 {
-                for &i in &order {
-                    step(scratch, mlp, data.input(i), data.output(i), lr, mu);
-                }
-            } else {
-                for chunk in order.chunks(minibatch) {
-                    batch.begin_batch(mlp);
-                    for block in chunk.chunks(LANES) {
-                        let mut inputs: [&[f32]; LANES] = [&[]; LANES];
-                        let mut targets: [&[f32]; LANES] = [&[]; LANES];
-                        for (lane, &i) in block.iter().enumerate() {
-                            inputs[lane] = data.input(i);
-                            targets[lane] = data.output(i);
-                        }
-                        batch.accumulate_block(
-                            mlp,
-                            &inputs[..block.len()],
-                            &targets[..block.len()],
-                        );
-                    }
-                    batch.apply_update(mlp, lr, mu);
-                }
+            for &i in &order {
+                step(scratch, mlp, data.input(i), data.output(i), lr, mu);
             }
             // Wall-clock epoch time goes to the global sample registry
             // (sweep-level report only): one lock per epoch, negligible
@@ -275,7 +244,6 @@ mod tests {
             momentum: 0.0,
             epochs: 4000,
             shuffle_seed: 1,
-            batch_size: 1,
         };
         let report = Trainer::new(params).train(&mut mlp, &xor_data());
         assert!(report.final_mse < 0.02, "XOR did not converge: {report:?}");
@@ -296,7 +264,6 @@ mod tests {
             learning_rate: 0.2,
             momentum: 0.0,
             shuffle_seed: 2,
-            batch_size: 1,
         })
         .train(&mut mlp, &data);
         assert!(report.final_mse < report.initial_mse * 0.5);
@@ -314,55 +281,6 @@ mod tests {
         let mut b = Mlp::seeded(t, 1);
         Trainer::new(params).train(&mut a, &data);
         Trainer::new(params).train(&mut b, &data);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn minibatch_training_reduces_mse() {
-        let mut data = Dataset::new(1, 1);
-        for i in 0..100 {
-            let x = i as f32 / 99.0;
-            data.push(&[x], &[0.5 + 0.4 * (3.0 * x).sin()]).unwrap();
-        }
-        // Batch sizes straddling the LANES width exercise full blocks,
-        // partial tails, and multi-block chunks.
-        for batch_size in [2, LANES - 1, LANES, LANES + 3] {
-            let mut mlp = Mlp::seeded(Topology::new(vec![1, 8, 1]).unwrap(), 5);
-            let report = Trainer::new(TrainParams {
-                epochs: 300,
-                learning_rate: 0.2,
-                momentum: 0.9,
-                shuffle_seed: 2,
-                batch_size,
-            })
-            .train(&mut mlp, &data);
-            assert!(
-                report.final_mse < report.initial_mse * 0.5,
-                "batch_size {batch_size} failed to learn: {report:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_size_zero_and_one_are_identical() {
-        let data = xor_data();
-        let t = Topology::new(vec![2, 4, 1]).unwrap();
-        let mut a = Mlp::seeded(t.clone(), 1);
-        let mut b = Mlp::seeded(t, 1);
-        let base = TrainParams {
-            epochs: 50,
-            ..TrainParams::default()
-        };
-        Trainer::new(TrainParams {
-            batch_size: 0,
-            ..base
-        })
-        .train(&mut a, &data);
-        Trainer::new(TrainParams {
-            batch_size: 1,
-            ..base
-        })
-        .train(&mut b, &data);
         assert_eq!(a, b);
     }
 

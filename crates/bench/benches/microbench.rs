@@ -190,33 +190,6 @@ fn bench_forward_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Minibatch (accumulated-gradient) epoch vs. the per-sample SGD epoch on
-/// the same 500-sample workload: same forward+backward arithmetic per
-/// sample, weights touched once per 8-sample block instead of per sample.
-fn bench_backprop_batch(c: &mut Criterion) {
-    let (t, data) = reference_dataset_500x89w();
-    let mut group = c.benchmark_group("backprop_batch");
-    group.bench_function("epoch_500x89w_b8", |b| {
-        b.iter_batched(
-            || Mlp::seeded(t.clone(), 5),
-            |mut mlp| {
-                let mut batch = BatchScratch::for_topology(&t);
-                let idx: Vec<usize> = (0..data.len()).collect();
-                for chunk in idx.chunks(LANES) {
-                    let ins: Vec<&[f32]> = chunk.iter().map(|&i| data.input(i)).collect();
-                    let tgts: Vec<&[f32]> = chunk.iter().map(|&i| data.output(i)).collect();
-                    batch.begin_batch(&mlp);
-                    batch.accumulate_block(&mlp, &ins, &tgts);
-                    batch.apply_update(&mut mlp, 0.01, 0.9);
-                }
-                mlp
-            },
-            BatchSize::SmallInput,
-        );
-    });
-    group.finish();
-}
-
 /// Fixed-point inference on the 500x89w reference workload: the int8 and
 /// int16 NPU datapath (Q7.23 accumulator, as the precision analysis proves
 /// for sobel) next to the f32 oracle running the identical loop.
@@ -541,7 +514,6 @@ criterion_group!(
     bench_backprop_one,
     bench_mse_eval,
     bench_forward_batch,
-    bench_backprop_batch,
     bench_quant_forward,
     bench_npu_functional,
     bench_trace_replay,

@@ -6,7 +6,9 @@ use crate::cli::Options;
 use crate::experiments;
 use crate::present;
 use crate::suite::compile_params;
-use harness::{run_sweep, Experiment, SweepResult, SweepSpec};
+use harness::{
+    run_sweep, Experiment, SweepResult, SweepSpec, DEFAULT_LINK_LATENCIES, DEFAULT_PE_COUNTS,
+};
 
 /// Builds the sweep specification the options describe.
 pub fn spec(suite_name: &str, opts: &Options) -> SweepSpec {
@@ -68,14 +70,14 @@ pub fn print_requested(result: &SweepResult, requested: &[Experiment], spec: &Sw
     }
     if has(Experiment::Fig10) {
         present::print_fig10(
-            &experiments::fig10_rows(result, &spec.link_latencies),
-            &spec.link_latencies,
+            &experiments::fig10_rows(result, DEFAULT_LINK_LATENCIES),
+            DEFAULT_LINK_LATENCIES,
         );
     }
     if has(Experiment::Fig11) {
         present::print_fig11(
-            &experiments::fig11_result(result, &spec.pe_counts),
-            &spec.pe_counts,
+            &experiments::fig11_result(result, DEFAULT_PE_COUNTS),
+            DEFAULT_PE_COUNTS,
         );
     }
 }

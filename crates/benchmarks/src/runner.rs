@@ -113,13 +113,30 @@ pub fn run_timed(
     variant: &AppVariant<'_>,
     cfg: CoreConfig,
 ) -> Result<(RunOutput, SimStats, Option<NpuRunStats>), IrError> {
-    let mut core = match variant {
+    let npu = match variant {
         AppVariant::Npu(compiled) => {
             let sim = compiled.make_npu().expect("compiled region fits its npu");
-            Core::with_npu(cfg, sim)
+            NpuAttachment::Cycle(Box::new(sim))
         }
-        _ => Core::new(cfg),
+        _ => NpuAttachment::None,
     };
+    run_timed_with(app, variant, cfg, npu)
+}
+
+/// Like [`run_timed`] but on a core with an explicit NPU attachment — a
+/// cycle NPU sized differently from the one the region was compiled for
+/// (the PE-count sweep), or the ideal NPU.
+///
+/// # Errors
+///
+/// Propagates interpreter errors.
+pub fn run_timed_with(
+    app: &App,
+    variant: &AppVariant<'_>,
+    cfg: CoreConfig,
+    npu: NpuAttachment,
+) -> Result<(RunOutput, SimStats, Option<NpuRunStats>), IrError> {
+    let mut core = Core::with_attachment(cfg, npu);
     let out = run_app(app, variant, &mut core)?;
     // Drain the pipeline first: in-flight invocations complete during
     // finish(), so NPU statistics are only final afterwards.
@@ -135,26 +152,6 @@ fn npu_run_stats(core: &Core) -> Option<NpuRunStats> {
     })
 }
 
-/// Like [`run_timed`] but with an explicitly constructed (already
-/// configured) timing NPU — used by the PE-count sensitivity sweep where
-/// the NPU sizing differs from the one the region was compiled for.
-///
-/// # Errors
-///
-/// Propagates interpreter errors.
-pub fn run_timed_with_npu(
-    app: &App,
-    variant: &AppVariant<'_>,
-    cfg: CoreConfig,
-    sim: npu::NpuSim,
-) -> Result<(RunOutput, SimStats, Option<NpuRunStats>), IrError> {
-    let mut core = Core::with_npu(cfg, sim);
-    let out = run_app(app, variant, &mut core)?;
-    let stats = core.finish();
-    let npu_stats = npu_run_stats(&core);
-    Ok((out, stats, npu_stats))
-}
-
 /// Runs the transformed application against the hypothetical zero-cycle
 /// NPU (Figure 8's "Core + Ideal NPU").
 ///
@@ -168,9 +165,8 @@ pub fn run_timed_ideal(
     n_inputs: usize,
     n_outputs: usize,
 ) -> Result<(RunOutput, SimStats), IrError> {
-    let mut core = Core::with_attachment(cfg, NpuAttachment::ideal(n_inputs, n_outputs));
-    let out = run_app(app, variant, &mut core)?;
-    let stats = core.finish();
+    let npu = NpuAttachment::ideal(n_inputs, n_outputs);
+    let (out, stats, _) = run_timed_with(app, variant, cfg, npu)?;
     Ok((out, stats))
 }
 

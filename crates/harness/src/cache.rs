@@ -1,9 +1,11 @@
 //! The content-addressed artifact cache.
 //!
-//! Layout: `<dir>/<stage>/<key>.json`, one JSON-serialized [`Artifact`]
-//! per file. Keys are [`crate::hash::KeyHasher`] digests over everything
-//! that determines the artifact's content — so a key match *is* a
-//! semantic match, files never need invalidation timestamps, and a
+//! Layout: `<dir>/<key>.json`, one JSON-serialized [`Artifact`] per
+//! file. Keys are [`crate::hash::KeyHasher`] digests over everything
+//! that determines the artifact's content, including the tag that names
+//! the job kind — so a key match *is* a semantic match, files never need
+//! invalidation timestamps, a job that answers to several stage names
+//! (see [`crate::dag::JobDag::add`]) is found under any of them, and a
 //! partially-completed sweep resumes by simply hitting the keys it
 //! already produced.
 //!
@@ -63,15 +65,15 @@ impl ArtifactCache {
         &self.stats
     }
 
-    fn path_for(&self, stage: &str, key: &str) -> PathBuf {
-        self.dir.join(stage).join(format!("{key}.json"))
+    fn path_for(&self, key: &str) -> PathBuf {
+        self.dir.join(format!("{key}.json"))
     }
 
-    /// Loads the artifact stored under `(stage, key)`, if any. Counts a
-    /// hit or miss; a file that exists but does not parse is a miss.
-    pub fn load(&self, stage: &str, key: &str) -> Option<Artifact> {
+    /// Loads the artifact stored under `key`, if any. Counts a hit or
+    /// miss; a file that exists but does not parse is a miss.
+    pub fn load(&self, key: &str) -> Option<Artifact> {
         let t0 = std::time::Instant::now();
-        let path = self.path_for(stage, key);
+        let path = self.path_for(key);
         let loaded = std::fs::read_to_string(&path)
             .ok()
             .and_then(|text| serde::json::from_str::<Artifact>(&text).ok());
@@ -88,14 +90,13 @@ impl ArtifactCache {
         }
     }
 
-    /// Stores `artifact` under `(stage, key)` atomically (temp file +
-    /// rename). Errors are reported, not fatal: a failed store only costs
-    /// a future cache miss.
-    pub fn store(&self, stage: &str, key: &str, artifact: &Artifact) -> std::io::Result<()> {
-        let path = self.path_for(stage, key);
-        let parent = path.parent().expect("cache paths always have a parent");
-        std::fs::create_dir_all(parent)?;
-        let tmp = parent.join(format!(".{key}.tmp-{}", std::process::id()));
+    /// Stores `artifact` under `key` atomically (temp file + rename).
+    /// Errors are reported, not fatal: a failed store only costs a future
+    /// cache miss.
+    pub fn store(&self, key: &str, artifact: &Artifact) -> std::io::Result<()> {
+        let path = self.path_for(key);
+        std::fs::create_dir_all(&self.dir)?;
+        let tmp = self.dir.join(format!(".{key}.tmp-{}", std::process::id()));
         std::fs::write(&tmp, serde::json::to_string(artifact))?;
         std::fs::rename(&tmp, &path)?;
         self.stats.writes.fetch_add(1, Ordering::Relaxed);
@@ -121,9 +122,9 @@ mod tests {
             total: 9,
             npu_queue: 2,
         });
-        assert!(cache.load("counts", "abc").is_none());
-        cache.store("counts", "abc", &artifact).unwrap();
-        assert_eq!(cache.load("counts", "abc"), Some(artifact));
+        assert!(cache.load("abc").is_none());
+        cache.store("abc", &artifact).unwrap();
+        assert_eq!(cache.load("abc"), Some(artifact));
         assert_eq!(cache.stats().snapshot(), (1, 1, 1));
         let _ = std::fs::remove_dir_all(cache.dir());
     }
@@ -131,21 +132,28 @@ mod tests {
     #[test]
     fn corrupt_file_is_a_miss() {
         let cache = temp_cache("corrupt");
-        let path = cache.dir().join("train").join("bad.json");
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let path = cache.dir().join("bad.json");
+        std::fs::create_dir_all(cache.dir()).unwrap();
         std::fs::write(&path, "{ not json").unwrap();
-        assert!(cache.load("train", "bad").is_none());
+        assert!(cache.load("bad").is_none());
         assert_eq!(cache.stats().snapshot(), (0, 1, 0));
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]
     fn keys_are_namespaced_by_stage() {
+        // The stage namespace lives in the key: equal payloads hashed
+        // under different tags land in different files.
         let cache = temp_cache("stages");
+        let key = |tag: &str| {
+            let mut h = crate::hash::KeyHasher::new(tag);
+            h.update_str("payload");
+            h.digest()
+        };
         let artifact = Artifact::Outputs(vec![1.0]);
-        cache.store("observe", "k", &artifact).unwrap();
-        assert!(cache.load("train", "k").is_none());
-        assert!(cache.load("observe", "k").is_some());
+        cache.store(&key("observe"), &artifact).unwrap();
+        assert!(cache.load(&key("train")).is_none());
+        assert!(cache.load(&key("observe")).is_some());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 }

@@ -12,8 +12,8 @@
 //! only the wall clock.
 //!
 //! Cache interaction is centralized here: before running a body the
-//! executor consults the [`ArtifactCache`] under the job's `(stage, key)`
-//! and skips execution on a hit; after a successful run it stores the
+//! executor consults the [`ArtifactCache`] under the job's key and skips
+//! execution on a hit; after a successful run it stores the
 //! artifact back. A body that panics fails its job like one that returns
 //! an error, so its worker still records the job and the run ends.
 //! Failures propagate: dependents of a failed job are marked skipped
@@ -202,11 +202,11 @@ impl Shared<'_> {
         let cache = self.cache.zip(node.key.as_deref());
 
         // Warm path: serve from the cache without running the body.
-        let result = match cache.and_then(|(cache, key)| cache.load(&node.stage, key)) {
+        let result = match cache.and_then(|(cache, key)| cache.load(key)) {
             Some(artifact) => Ok((artifact, true)),
             None => run_body(node, deps).map(|artifact| {
                 if let Some((cache, key)) = cache {
-                    if let Err(e) = cache.store(&node.stage, key, &artifact) {
+                    if let Err(e) = cache.store(key, &artifact) {
                         eprintln!(
                             "[harness] warning: failed to cache {}/{key}: {e}",
                             node.stage

@@ -1,8 +1,8 @@
 //! Parallel experiment orchestration for the Parrot pipeline.
 //!
 //! Every experiment is a node in a dependency-aware job DAG
-//! (`observe(bench)` → `train(bench, topology)` → `sim_cpu` / `sim_npu`
-//! → `energy` → `report`), executed by a fixed pool of worker threads
+//! (`observe(bench)` → `train(bench, topology)` → one measurement run
+//! per target (`sim_cpu`, `sim_npu`, …) → `energy` → `report`), executed by a fixed pool of worker threads
 //! sized by `available_parallelism` (overridable with `--jobs N`) that
 //! drain one locked ready queue. Job inputs — region IR hash, dataset
 //! digest, training config, µarch/NPU config, root seed — form

@@ -3,27 +3,36 @@
 //! The canonical chain is
 //!
 //! ```text
-//! observe ──► train ──► outputs_npu / counts_npu / sim_npu / sim_ideal /
-//!                        sim_soft / sim_link_* / sim_pes_*
-//! outputs_base / counts_base / sim_cpu            (no training needed)
+//! observe ──► train ──► run(measure, target) for every target that
+//!                       evaluates the network
+//!                       run(measure, Cpu)    (no training needed)
 //! energy  ◄── sim_cpu + sim_npu + sim_ideal
 //! report  ◄── train + sim_cpu + sim_npu + outputs_base + outputs_npu
 //! ```
 //!
+//! Every measurement is one [`Run`]: what is measured, on which target,
+//! under which core configuration. One builder turns a run into a job
+//! and hashes only the run description and its upstream key, so two
+//! stage names asking for the same run (Figure 10's 1-cycle link is
+//! `sim_npu`'s core) get one job through [`JobDag::add`]'s key merge.
+//!
 //! Cache keys are Merkle-style: every downstream key folds in its
 //! upstream keys, so changing a training hyperparameter re-keys `train`
 //! and everything after it while `observe` (whose key holds only the
-//! region IR, the dataset digest, and the scale) still hits.
+//! program, the scale, and the dataset digest) and the CPU runs still hit.
 
 use crate::artifact::{Artifact, CountsArtifact, EnergyArtifact, TimingArtifact, TrainArtifact};
-use crate::dag::JobDag;
+use crate::dag::{JobDag, JobFn, JobId};
 use crate::hash::KeyHasher;
 use crate::sweep::StagePlan;
 use benchmarks::{benchmark_by_name, runner, AppVariant, Benchmark, Scale};
 use energy::{EnergyModel, EnergyParams};
+use npu::NpuParams;
 use parrot::{CompileParams, CompiledRegion};
+use serde::Serialize;
+use std::collections::BTreeMap;
 use std::sync::Arc;
-use uarch::CoreConfig;
+use uarch::{CoreConfig, NpuAttachment};
 
 /// Bumped whenever simulator, application-glue, or artifact semantics
 /// change in a way the other key inputs cannot see; folded into every
@@ -35,6 +44,55 @@ use uarch::CoreConfig;
 /// v3: the report schema moved to v6 (serving section), changing the
 /// serialized `Report` artifact layout.
 pub const PIPELINE_VERSION: u64 = 3;
+
+/// What a run job measures.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub enum Measure {
+    /// The application's output elements (Table 1, Figure 6, reports).
+    Outputs,
+    /// Dynamic instruction counts (Figure 7).
+    Counts,
+    /// Cycle-level timing on a core with this configuration.
+    Timing(Box<CoreConfig>),
+}
+
+/// What evaluates the approximable region in a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub enum Target {
+    /// The original code on the core; needs no network.
+    Cpu,
+    /// The trained network on the NPU.
+    Npu {
+        /// Processing engines of the cycle-level NPU (timing runs).
+        n_pes: usize,
+    },
+    /// The trained network on a zero-cycle NPU (Figure 8's bound).
+    IdealNpu,
+    /// The trained network evaluated in software on the core (Figure 9).
+    SoftwareNn,
+}
+
+/// One measurement job: the stage name it answers to and what it runs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Run {
+    /// Stage name (`sim_npu`, `sim_link_4`, …).
+    pub stage: String,
+    /// What is measured.
+    pub measure: Measure,
+    /// What evaluates the region.
+    pub target: Target,
+}
+
+impl Run {
+    /// A run named `stage`.
+    pub fn new(stage: impl Into<String>, measure: Measure, target: Target) -> Run {
+        Run {
+            stage: stage.into(),
+            measure,
+            target,
+        }
+    }
+}
 
 fn base_hasher(tag: &str) -> KeyHasher {
     let mut h = KeyHasher::new(tag);
@@ -57,45 +115,81 @@ fn lookup(name: &str) -> Result<Box<dyn Benchmark>, String> {
 }
 
 fn assemble(
-    name: &str,
+    bench: &dyn Benchmark,
     train: &TrainArtifact,
     params: &CompileParams,
-) -> Result<(Box<dyn Benchmark>, CompiledRegion), String> {
-    let bench = lookup(name)?;
-    let region = bench.region();
-    let compiled = CompiledRegion::assemble(
-        &region,
+) -> Result<CompiledRegion, String> {
+    CompiledRegion::assemble(
+        &bench.region(),
         train.outcome.clone(),
         train.input_norm.clone(),
         train.output_norm.clone(),
         params.npu.clone(),
     )
-    .map_err(|e| format!("{name}: assemble failed: {e}"))?;
-    Ok((bench, compiled))
+    .map_err(|e| format!("{}: assemble failed: {e}", bench.name()))
 }
 
-fn timed(
-    bench: &dyn Benchmark,
-    variant: &AppVariant<'_>,
-    scale: &Scale,
-    cfg: CoreConfig,
-) -> Result<TimingArtifact, String> {
-    let app = bench.build_app(variant, scale);
-    let (_, stats, npu) =
-        runner::run_timed(&app, variant, cfg).map_err(|e| format!("timed run failed: {e}"))?;
-    Ok(timing_artifact(stats, npu))
-}
-
-fn timing_artifact(stats: uarch::SimStats, npu: Option<runner::NpuRunStats>) -> TimingArtifact {
-    let (npu, npu_invocation_cycles) = match npu {
-        Some(n) => (Some(n.stats), Some(n.invocation_cycles)),
-        None => (None, None),
-    };
-    TimingArtifact {
-        stats,
-        npu,
-        npu_invocation_cycles,
-    }
+/// The job body of `run`: a `Cpu` run has no dependencies, every other
+/// target takes the train artifact.
+fn run_body(name: String, scale: Scale, params: Arc<CompileParams>, run: Run) -> JobFn {
+    Box::new(move |deps| {
+        let bench = lookup(&name)?;
+        let compiled = match deps.first() {
+            Some(train) => Some(assemble(bench.as_ref(), train.as_train()?, &params)?),
+            None => None,
+        };
+        let variant = match (run.target, &compiled) {
+            (Target::Cpu, _) => AppVariant::Precise,
+            (Target::SoftwareNn, Some(c)) => AppVariant::SoftwareNn(c),
+            (_, Some(c)) => AppVariant::Npu(c),
+            (_, None) => return Err(format!("{name}: {} has no network", run.stage)),
+        };
+        let app = bench.build_app(&variant, &scale);
+        let failed = |e| format!("{name}: {} run failed: {e}", run.stage);
+        Ok(match &run.measure {
+            Measure::Outputs => {
+                let out = runner::run_functional(&app, &variant).map_err(failed)?;
+                Artifact::Outputs(bench.extract_outputs(&out.memory, &scale))
+            }
+            Measure::Counts => {
+                let (_, counts) = runner::run_counting(&app, &variant).map_err(failed)?;
+                Artifact::Counts(CountsArtifact {
+                    total: counts.total,
+                    npu_queue: counts.npu_queue,
+                })
+            }
+            Measure::Timing(cfg) => {
+                let npu = match (run.target, &compiled) {
+                    (Target::Npu { n_pes }, Some(c)) => {
+                        let sized = NpuParams {
+                            n_pes,
+                            ..c.npu_params().clone()
+                        };
+                        let sim = c
+                            .make_npu_with(&sized.unbounded())
+                            .map_err(|e| format!("{name}: npu sizing failed: {e}"))?;
+                        NpuAttachment::Cycle(Box::new(sim))
+                    }
+                    (Target::IdealNpu, Some(c)) => {
+                        let t = c.config().topology();
+                        NpuAttachment::ideal(t.inputs(), t.outputs())
+                    }
+                    _ => NpuAttachment::None,
+                };
+                let (_, stats, npu) =
+                    runner::run_timed_with(&app, &variant, (**cfg).clone(), npu).map_err(failed)?;
+                let (npu, npu_invocation_cycles) = match npu {
+                    Some(n) => (Some(n.stats), Some(n.invocation_cycles)),
+                    None => (None, None),
+                };
+                Artifact::Timing(TimingArtifact {
+                    stats,
+                    npu,
+                    npu_invocation_cycles,
+                })
+            }
+        })
+    })
 }
 
 /// The per-benchmark inputs of [`add_benchmark_jobs`].
@@ -106,8 +200,6 @@ pub struct BenchJobs<'a> {
     pub scale: Scale,
     /// Compile parameters carrying the benchmark's derived search seed.
     pub params: Arc<CompileParams>,
-    /// Energy-model parameters.
-    pub energy: EnergyParams,
     /// Suite name stamped into the run report.
     pub suite: &'a str,
     /// Run mode stamped into the run report.
@@ -124,22 +216,25 @@ pub fn add_benchmark_jobs(
         name,
         scale,
         params,
-        energy,
         suite,
         mode,
     } = spec;
     let bench = lookup(name)?;
-    let region = bench.region();
-    let ir_text = region.program().to_string();
-    let core_cfg_json = serde::json::to_string(&CoreConfig::penryn_like());
-    let name_owned = name.to_string();
+
+    // The program under test: what every CPU run and the observation
+    // start from.
+    let program_key = {
+        let mut h = base_hasher("program");
+        h.update_str(name);
+        h.update_str(&bench.region().program().to_string());
+        h.update_json(&scale);
+        h.digest()
+    };
 
     // ---- observe ----------------------------------------------------
     let observe_key = {
         let mut h = base_hasher("observe");
-        h.update_str(name);
-        h.update_str(&ir_text);
-        h.update_json(&scale);
+        h.update_str(&program_key);
         // Dataset digest: the exact training inputs, bit for bit.
         let training = bench.training_inputs(&scale);
         h.update_u64(training.len() as u64);
@@ -149,7 +244,7 @@ pub fn add_benchmark_jobs(
         h.digest()
     };
     let observe_id = if plan.train {
-        let job_name = name_owned.clone();
+        let job_name = name.to_string();
         Some(dag.add(
             "observe",
             name,
@@ -181,7 +276,7 @@ pub fn add_benchmark_jobs(
         h.digest()
     };
     let train_id = observe_id.map(|obs_id| {
-        let job_name = name_owned.clone();
+        let job_name = name.to_string();
         let params = Arc::clone(&params);
         dag.add(
             "train",
@@ -208,309 +303,51 @@ pub fn add_benchmark_jobs(
         )
     });
 
-    // ---- functional outputs (Table 1, Figure 6, report) -------------
-    let outputs_base_key = {
-        let mut h = base_hasher("outputs_base");
-        h.update_str(name);
-        h.update_str(&ir_text);
-        h.update_json(&scale);
-        h.digest()
-    };
-    let outputs_npu_key = {
-        let mut h = base_hasher("outputs_npu");
-        h.update_str(&train_key);
-        h.update_json(&scale);
-        h.digest()
-    };
-    let (outputs_base_id, outputs_npu_id) = if plan.outputs {
-        let job_name = name_owned.clone();
-        let base_id = dag.add(
-            "outputs_base",
-            name,
-            Some(outputs_base_key.clone()),
-            vec![],
-            Box::new(move |_| {
-                let bench = lookup(&job_name)?;
-                Ok(Artifact::Outputs(runner::baseline_outputs(
-                    bench.as_ref(),
-                    &scale,
-                )))
-            }),
-        );
-
-        let job_name = name_owned.clone();
-        let job_params = Arc::clone(&params);
-        let npu_id = dag.add(
-            "outputs_npu",
-            name,
-            Some(outputs_npu_key.clone()),
-            vec![train_id.expect("outputs_npu requires train")],
-            Box::new(move |deps| {
-                let (bench, compiled) = assemble(&job_name, deps[0].as_train()?, &job_params)?;
-                let variant = AppVariant::Npu(&compiled);
-                let app = bench.build_app(&variant, &scale);
-                let run = runner::run_functional(&app, &variant)
-                    .map_err(|e| format!("{job_name}: npu run failed: {e}"))?;
-                Ok(Artifact::Outputs(
-                    bench.extract_outputs(&run.memory, &scale),
-                ))
-            }),
-        );
-        (Some(base_id), Some(npu_id))
-    } else {
-        (None, None)
-    };
-
-    // ---- instruction counts (Figure 7) ------------------------------
-    if plan.counts {
+    // ---- measurement runs (Table 1, Figures 6-11, report) -----------
+    // The key holds the run description and its upstream: the program
+    // for CPU runs, the trained network otherwise. A cycle NPU is sized
+    // `NpuParams { n_pes, ..compiled }.unbounded()`, so only `n_pes` is
+    // hashed: the rest of the compiled sizing is already in `train_key`,
+    // and `strict_capacity` only gates the scheduler's capacity check,
+    // never a cycle. Every run first assembles the region, which schedules
+    // the network strictly under the compiled sizing, so relaxing the
+    // check cannot admit a network the compiled NPU would reject. That
+    // makes Figure 11's point at the compiled PE count the `sim_npu` run.
+    let mut runs: BTreeMap<&str, (JobId, String)> = BTreeMap::new();
+    for run in &plan.runs {
+        let (upstream, deps) = match run.target {
+            Target::Cpu => (&program_key, vec![]),
+            _ => (
+                &train_key,
+                vec![train_id.ok_or_else(|| format!("{} requires train", run.stage))?],
+            ),
+        };
         let key = {
-            let mut h = base_hasher("counts_base");
-            h.update_str(name);
-            h.update_str(&ir_text);
-            h.update_json(&scale);
+            let mut h = base_hasher("run");
+            h.update_str(upstream);
+            h.update_json(&run.measure);
+            h.update_json(&run.target);
             h.digest()
         };
-        let job_name = name_owned.clone();
-        dag.add(
-            "counts_base",
-            name,
-            Some(key),
-            vec![],
-            Box::new(move |_| {
-                let bench = lookup(&job_name)?;
-                let app = bench.build_app(&AppVariant::Precise, &scale);
-                let (_, counts) = runner::run_counting(&app, &AppVariant::Precise)
-                    .map_err(|e| format!("{job_name}: counting run failed: {e}"))?;
-                Ok(Artifact::Counts(CountsArtifact {
-                    total: counts.total,
-                    npu_queue: counts.npu_queue,
-                }))
-            }),
-        );
-
-        let key = {
-            let mut h = base_hasher("counts_npu");
-            h.update_str(&train_key);
-            h.update_json(&scale);
-            h.digest()
-        };
-        let job_name = name_owned.clone();
-        let job_params = Arc::clone(&params);
-        dag.add(
-            "counts_npu",
-            name,
-            Some(key),
-            vec![train_id.expect("counts_npu requires train")],
-            Box::new(move |deps| {
-                let (bench, compiled) = assemble(&job_name, deps[0].as_train()?, &job_params)?;
-                let variant = AppVariant::Npu(&compiled);
-                let app = bench.build_app(&variant, &scale);
-                let (_, counts) = runner::run_counting(&app, &variant)
-                    .map_err(|e| format!("{job_name}: counting run failed: {e}"))?;
-                Ok(Artifact::Counts(CountsArtifact {
-                    total: counts.total,
-                    npu_queue: counts.npu_queue,
-                }))
-            }),
-        );
+        let body = run_body(name.to_string(), scale, Arc::clone(&params), run.clone());
+        let id = dag.add(run.stage.clone(), name, Some(key.clone()), deps, body);
+        runs.insert(&run.stage, (id, key));
     }
-
-    // ---- cycle-level timing -----------------------------------------
-    let sim_cpu_key = {
-        let mut h = base_hasher("sim_cpu");
-        h.update_str(name);
-        h.update_str(&ir_text);
-        h.update_json(&scale);
-        h.update_str(&core_cfg_json);
-        h.digest()
+    let run = |stage: &str| {
+        runs.get(stage)
+            .cloned()
+            .ok_or_else(|| format!("{name}: the plan has no {stage} run"))
     };
-    let sim_cpu_id = if plan.sim_cpu {
-        let job_name = name_owned.clone();
-        Some(dag.add(
-            "sim_cpu",
-            name,
-            Some(sim_cpu_key.clone()),
-            vec![],
-            Box::new(move |_| {
-                let bench = lookup(&job_name)?;
-                timed(
-                    bench.as_ref(),
-                    &AppVariant::Precise,
-                    &scale,
-                    CoreConfig::penryn_like(),
-                )
-                .map(Artifact::Timing)
-                .map_err(|e| format!("{job_name}: {e}"))
-            }),
-        ))
-    } else {
-        None
-    };
-
-    let sim_npu_key = {
-        let mut h = base_hasher("sim_npu");
-        h.update_str(&train_key);
-        h.update_json(&scale);
-        h.update_str(&core_cfg_json);
-        h.digest()
-    };
-    let sim_npu_id = if plan.sim_npu {
-        let job_name = name_owned.clone();
-        let job_params = Arc::clone(&params);
-        Some(dag.add(
-            "sim_npu",
-            name,
-            Some(sim_npu_key.clone()),
-            vec![train_id.expect("sim_npu requires train")],
-            Box::new(move |deps| {
-                let (bench, compiled) = assemble(&job_name, deps[0].as_train()?, &job_params)?;
-                timed(
-                    bench.as_ref(),
-                    &AppVariant::Npu(&compiled),
-                    &scale,
-                    CoreConfig::penryn_like(),
-                )
-                .map(Artifact::Timing)
-                .map_err(|e| format!("{job_name}: {e}"))
-            }),
-        ))
-    } else {
-        None
-    };
-
-    let sim_ideal_key = {
-        let mut h = base_hasher("sim_ideal");
-        h.update_str(&train_key);
-        h.update_json(&scale);
-        h.update_str(&core_cfg_json);
-        h.digest()
-    };
-    let sim_ideal_id = if plan.sim_ideal {
-        let job_name = name_owned.clone();
-        let job_params = Arc::clone(&params);
-        Some(dag.add(
-            "sim_ideal",
-            name,
-            Some(sim_ideal_key.clone()),
-            vec![train_id.expect("sim_ideal requires train")],
-            Box::new(move |deps| {
-                let (bench, compiled) = assemble(&job_name, deps[0].as_train()?, &job_params)?;
-                let variant = AppVariant::Npu(&compiled);
-                let app = bench.build_app(&variant, &scale);
-                let t = compiled.config().topology();
-                let (_, stats) = runner::run_timed_ideal(
-                    &app,
-                    &variant,
-                    CoreConfig::penryn_like(),
-                    t.inputs(),
-                    t.outputs(),
-                )
-                .map_err(|e| format!("{job_name}: ideal run failed: {e}"))?;
-                Ok(Artifact::Timing(timing_artifact(stats, None)))
-            }),
-        ))
-    } else {
-        None
-    };
-
-    if plan.sim_soft {
-        let key = {
-            let mut h = base_hasher("sim_soft");
-            h.update_str(&train_key);
-            h.update_json(&scale);
-            h.update_str(&core_cfg_json);
-            h.digest()
-        };
-        let job_name = name_owned.clone();
-        let job_params = Arc::clone(&params);
-        dag.add(
-            "sim_soft",
-            name,
-            Some(key),
-            vec![train_id.expect("sim_soft requires train")],
-            Box::new(move |deps| {
-                let (bench, compiled) = assemble(&job_name, deps[0].as_train()?, &job_params)?;
-                timed(
-                    bench.as_ref(),
-                    &AppVariant::SoftwareNn(&compiled),
-                    &scale,
-                    CoreConfig::penryn_like(),
-                )
-                .map(Artifact::Timing)
-                .map_err(|e| format!("{job_name}: {e}"))
-            }),
-        );
-    }
-
-    for &lat in &plan.link_latencies {
-        let stage = format!("sim_link_{lat}");
-        let key = {
-            let mut h = base_hasher(&stage);
-            h.update_str(&train_key);
-            h.update_json(&scale);
-            h.update_u64(lat);
-            h.digest()
-        };
-        let job_name = name_owned.clone();
-        let job_params = Arc::clone(&params);
-        dag.add(
-            stage,
-            name,
-            Some(key),
-            vec![train_id.expect("sim_link requires train")],
-            Box::new(move |deps| {
-                let (bench, compiled) = assemble(&job_name, deps[0].as_train()?, &job_params)?;
-                timed(
-                    bench.as_ref(),
-                    &AppVariant::Npu(&compiled),
-                    &scale,
-                    CoreConfig::with_npu_link_latency(lat),
-                )
-                .map(Artifact::Timing)
-                .map_err(|e| format!("{job_name}: {e}"))
-            }),
-        );
-    }
-
-    for &pes in &plan.pe_counts {
-        let stage = format!("sim_pes_{pes}");
-        let sweep_params = npu::NpuParams::with_pes(pes).unbounded();
-        let key = {
-            let mut h = base_hasher(&stage);
-            h.update_str(&train_key);
-            h.update_json(&scale);
-            h.update_json(&sweep_params);
-            h.digest()
-        };
-        let job_name = name_owned.clone();
-        let job_params = Arc::clone(&params);
-        dag.add(
-            stage,
-            name,
-            Some(key),
-            vec![train_id.expect("sim_pes requires train")],
-            Box::new(move |deps| {
-                let (bench, compiled) = assemble(&job_name, deps[0].as_train()?, &job_params)?;
-                let variant = AppVariant::Npu(&compiled);
-                let app = bench.build_app(&variant, &scale);
-                let sim = compiled
-                    .make_npu_with(&sweep_params)
-                    .map_err(|e| format!("{job_name}: npu sizing failed: {e}"))?;
-                let (_, stats, npu) =
-                    runner::run_timed_with_npu(&app, &variant, CoreConfig::penryn_like(), sim)
-                        .map_err(|e| format!("{job_name}: pe sweep run failed: {e}"))?;
-                Ok(Artifact::Timing(timing_artifact(stats, npu)))
-            }),
-        );
-    }
 
     // ---- energy (Figure 8b) -----------------------------------------
     if plan.energy {
+        let (cpu, npu, ideal) = (run("sim_cpu")?, run("sim_npu")?, run("sim_ideal")?);
+        let energy = EnergyParams::default();
         let key = {
             let mut h = base_hasher("energy");
-            h.update_str(&sim_cpu_key);
-            h.update_str(&sim_npu_key);
-            h.update_str(&sim_ideal_key);
+            h.update_str(&cpu.1);
+            h.update_str(&npu.1);
+            h.update_str(&ideal.1);
             h.update_json(&energy);
             h.digest()
         };
@@ -518,11 +355,7 @@ pub fn add_benchmark_jobs(
             "energy",
             name,
             Some(key),
-            vec![
-                sim_cpu_id.expect("energy requires sim_cpu"),
-                sim_npu_id.expect("energy requires sim_npu"),
-                sim_ideal_id.expect("energy requires sim_ideal"),
-            ],
+            vec![cpu.0, npu.0, ideal.0],
             Box::new(move |deps| {
                 let base = deps[0].as_timing()?;
                 let with_npu = deps[1].as_timing()?;
@@ -541,30 +374,31 @@ pub fn add_benchmark_jobs(
 
     // ---- per-benchmark run report -----------------------------------
     if plan.report {
+        let inputs = [
+            run("sim_cpu")?,
+            run("sim_npu")?,
+            run("outputs_base")?,
+            run("outputs_npu")?,
+        ];
         let key = {
             let mut h = base_hasher("report");
             h.update_str(suite);
             h.update_str(mode);
             h.update_str(&train_key);
-            h.update_str(&sim_cpu_key);
-            h.update_str(&sim_npu_key);
-            h.update_str(&outputs_base_key);
-            h.update_str(&outputs_npu_key);
+            for (_, key) in &inputs {
+                h.update_str(key);
+            }
             h.digest()
         };
-        let job_name = name_owned.clone();
+        let mut deps = vec![train_id.ok_or("report requires train")?];
+        deps.extend(inputs.iter().map(|(id, _)| *id));
+        let job_name = name.to_string();
         let (suite, mode) = (suite.to_string(), mode.to_string());
         dag.add(
             "report",
             name,
             Some(key),
-            vec![
-                train_id.expect("report requires train"),
-                sim_cpu_id.expect("report requires sim_cpu"),
-                sim_npu_id.expect("report requires sim_npu"),
-                outputs_base_id.expect("report requires outputs_base"),
-                outputs_npu_id.expect("report requires outputs_npu"),
-            ],
+            deps,
             Box::new(move |deps| {
                 let train = deps[0].as_train()?;
                 let base = deps[1].as_timing()?;

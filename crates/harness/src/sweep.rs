@@ -12,14 +12,14 @@ use crate::artifact::Artifact;
 use crate::cache::ArtifactCache;
 use crate::dag::JobDag;
 use crate::exec::{self, ExecStats, JobResult};
-use crate::pipeline;
+use crate::pipeline::{self, Measure, Run, Target};
 use benchmarks::{all_benchmarks, benchmark_by_name, Scale};
-use energy::EnergyParams;
 use parrot::{CompileParams, CompiledRegion};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use telemetry::{RunReport, SchedulerSummary};
+use uarch::CoreConfig;
 
 /// Root seed every per-benchmark, per-purpose seed is derived from when
 /// the caller does not override it (the ann crate's historical default).
@@ -109,74 +109,74 @@ impl Experiment {
 pub struct StagePlan {
     /// `observe` + `train` (any experiment that needs a network).
     pub train: bool,
-    /// Functional output runs (Table 1, Figure 6, and the report's
-    /// output-error distribution).
-    pub outputs: bool,
-    /// Instruction-counting runs (Figure 7).
-    pub counts: bool,
-    /// Baseline cycle-level run.
-    pub sim_cpu: bool,
-    /// NPU cycle-level run.
-    pub sim_npu: bool,
-    /// Ideal-NPU cycle-level run (Figure 8's upper bound).
-    pub sim_ideal: bool,
-    /// Software-NN cycle-level run (Figure 9).
-    pub sim_soft: bool,
+    /// Measurement runs, each a job unless an equal run came first.
+    pub runs: Vec<Run>,
     /// Energy model evaluation (Figure 8b).
     pub energy: bool,
     /// Per-benchmark run reports.
     pub report: bool,
-    /// Link-latency sweep points, empty unless Figure 10 is requested.
-    pub link_latencies: Vec<u64>,
-    /// PE-count sweep points, empty unless Figure 11 is requested.
-    pub pe_counts: Vec<usize>,
 }
 
 impl StagePlan {
-    /// Derives the stage set for `experiments` (sweep points are taken
-    /// from `link_latencies` / `pe_counts` when the matching figure is
-    /// requested).
-    pub fn from_experiments(
-        experiments: &[Experiment],
-        link_latencies: &[u64],
-        pe_counts: &[usize],
-    ) -> StagePlan {
+    /// Derives the stage set for `experiments` on an NPU compiled with
+    /// `n_pes` processing engines.
+    pub fn from_experiments(experiments: &[Experiment], n_pes: usize) -> StagePlan {
         let has = |e: Experiment| experiments.contains(&e);
-        let mut plan = StagePlan {
-            outputs: has(Experiment::Table1) || has(Experiment::Fig6) || has(Experiment::Report),
-            counts: has(Experiment::Fig7),
-            sim_cpu: has(Experiment::Fig8)
-                || has(Experiment::Fig9)
-                || has(Experiment::Fig10)
-                || has(Experiment::Fig11)
-                || has(Experiment::Report),
-            sim_npu: has(Experiment::Fig8) || has(Experiment::Report),
-            sim_ideal: has(Experiment::Fig8),
-            sim_soft: has(Experiment::Fig9),
+        let timing = || Measure::Timing(Box::new(CoreConfig::penryn_like()));
+        let npu = Target::Npu { n_pes };
+        let mut runs = Vec::new();
+        if has(Experiment::Table1) || has(Experiment::Fig6) || has(Experiment::Report) {
+            runs.push(Run::new("outputs_base", Measure::Outputs, Target::Cpu));
+            runs.push(Run::new("outputs_npu", Measure::Outputs, npu));
+        }
+        if has(Experiment::Fig7) {
+            runs.push(Run::new("counts_base", Measure::Counts, Target::Cpu));
+            runs.push(Run::new("counts_npu", Measure::Counts, npu));
+        }
+        let timed = [
+            Experiment::Fig8,
+            Experiment::Fig9,
+            Experiment::Fig10,
+            Experiment::Fig11,
+            Experiment::Report,
+        ];
+        if timed.into_iter().any(has) {
+            runs.push(Run::new("sim_cpu", timing(), Target::Cpu));
+        }
+        if has(Experiment::Fig8) || has(Experiment::Report) {
+            runs.push(Run::new("sim_npu", timing(), npu));
+        }
+        if has(Experiment::Fig8) {
+            runs.push(Run::new("sim_ideal", timing(), Target::IdealNpu));
+        }
+        if has(Experiment::Fig9) {
+            runs.push(Run::new("sim_soft", timing(), Target::SoftwareNn));
+        }
+        if has(Experiment::Fig10) {
+            for &lat in DEFAULT_LINK_LATENCIES {
+                let core = Box::new(CoreConfig::with_npu_link_latency(lat));
+                runs.push(Run::new(
+                    format!("sim_link_{lat}"),
+                    Measure::Timing(core),
+                    npu,
+                ));
+            }
+        }
+        if has(Experiment::Fig11) {
+            for &n_pes in DEFAULT_PE_COUNTS {
+                runs.push(Run::new(
+                    format!("sim_pes_{n_pes}"),
+                    timing(),
+                    Target::Npu { n_pes },
+                ));
+            }
+        }
+        StagePlan {
+            train: has(Experiment::Train) || runs.iter().any(|r| r.target != Target::Cpu),
+            runs,
             energy: has(Experiment::Fig8),
             report: has(Experiment::Report),
-            link_latencies: if has(Experiment::Fig10) {
-                link_latencies.to_vec()
-            } else {
-                Vec::new()
-            },
-            pe_counts: if has(Experiment::Fig11) {
-                pe_counts.to_vec()
-            } else {
-                Vec::new()
-            },
-            train: false,
-        };
-        plan.train = has(Experiment::Train)
-            || plan.outputs
-            || plan.counts
-            || plan.sim_npu
-            || plan.sim_ideal
-            || plan.sim_soft
-            || plan.report
-            || !plan.link_latencies.is_empty()
-            || !plan.pe_counts.is_empty();
-        plan
+        }
     }
 }
 
@@ -206,17 +206,11 @@ pub struct SweepSpec {
     pub benches: Vec<String>,
     /// Experiments to schedule.
     pub experiments: Vec<Experiment>,
-    /// Figure 10 sweep points.
-    pub link_latencies: Vec<u64>,
-    /// Figure 11 sweep points.
-    pub pe_counts: Vec<usize>,
-    /// Energy-model parameters (Figure 8b).
-    pub energy: EnergyParams,
 }
 
 impl SweepSpec {
-    /// A spec with every experiment, all benchmarks, default seeds and
-    /// sweep points, no cache, and one worker per core.
+    /// A spec with every experiment, all benchmarks, the default seed, no
+    /// cache, and one worker per core.
     pub fn new(suite: &str, mode: &str, scale: Scale, compile: CompileParams) -> SweepSpec {
         SweepSpec {
             suite: suite.to_string(),
@@ -229,9 +223,6 @@ impl SweepSpec {
             cache_dir: None,
             benches: Vec::new(),
             experiments: Experiment::all(),
-            link_latencies: DEFAULT_LINK_LATENCIES.to_vec(),
-            pe_counts: DEFAULT_PE_COUNTS.to_vec(),
-            energy: EnergyParams::default(),
         }
     }
 }
@@ -271,7 +262,8 @@ pub struct SweepResult {
 }
 
 impl SweepResult {
-    /// The artifact `bench`'s `stage` job produced, if it succeeded.
+    /// The artifact `bench`'s `stage` job produced, if it succeeded. A
+    /// stage merged into an equal job answers with that job's artifact.
     pub fn artifact(&self, bench: &str, stage: &str) -> Option<&Artifact> {
         self.artifacts
             .get(&(bench.to_string(), stage.to_string()))
@@ -397,8 +389,7 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<SweepResult, String> {
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let workers = if spec.jobs == 0 { cores } else { spec.jobs };
-    let plan =
-        StagePlan::from_experiments(&spec.experiments, &spec.link_latencies, &spec.pe_counts);
+    let plan = StagePlan::from_experiments(&spec.experiments, spec.compile.npu.n_pes);
 
     let mut dag = JobDag::new();
     for name in &benches {
@@ -416,7 +407,6 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<SweepResult, String> {
                 name,
                 scale: spec.scale,
                 params: Arc::new(params),
-                energy: spec.energy,
                 suite: &spec.suite,
                 mode: &spec.mode,
             },
@@ -442,7 +432,9 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<SweepResult, String> {
     for (job, result) in dag.jobs().iter().zip(&results) {
         match result {
             JobResult::Done { artifact, .. } => {
-                artifacts.insert((job.bench.clone(), job.stage.clone()), Arc::clone(artifact));
+                for stage in job.names() {
+                    artifacts.insert((job.bench.clone(), stage.to_string()), Arc::clone(artifact));
+                }
             }
             JobResult::Failed(error) => failures.push(JobFailure {
                 bench: job.bench.clone(),
@@ -472,22 +464,41 @@ mod tests {
 
     #[test]
     fn stage_plan_covers_each_experiment() {
-        let plan = StagePlan::from_experiments(&[Experiment::Table1], &[1], &[2]);
-        assert!(plan.train && plan.outputs);
-        assert!(!plan.sim_cpu && !plan.counts && plan.link_latencies.is_empty());
+        let stages = |plan: &StagePlan| -> Vec<String> {
+            plan.runs.iter().map(|r| r.stage.clone()).collect()
+        };
+        let run =
+            |plan: &StagePlan, stage: &str| plan.runs.iter().find(|r| r.stage == stage).cloned();
+        let plan = StagePlan::from_experiments(&[Experiment::Table1], 8);
+        assert!(plan.train && !plan.energy && !plan.report);
+        assert_eq!(stages(&plan), ["outputs_base", "outputs_npu"]);
 
-        let plan = StagePlan::from_experiments(&[Experiment::Fig8], &[1], &[2]);
-        assert!(plan.train && plan.sim_cpu && plan.sim_npu && plan.sim_ideal && plan.energy);
+        let plan = StagePlan::from_experiments(&[Experiment::Fig8], 8);
+        assert!(plan.train && plan.energy);
+        assert_eq!(stages(&plan), ["sim_cpu", "sim_npu", "sim_ideal"]);
 
-        let plan = StagePlan::from_experiments(&[Experiment::Fig10], &[1, 4], &[2]);
-        assert_eq!(plan.link_latencies, vec![1, 4]);
-        assert!(plan.sim_cpu && plan.train && plan.pe_counts.is_empty());
+        let plan = StagePlan::from_experiments(&[Experiment::Fig10], 8);
+        assert!(plan.train && run(&plan, "sim_cpu").is_some());
+        assert_eq!(plan.runs.len(), 1 + DEFAULT_LINK_LATENCIES.len());
+        assert!(run(&plan, "sim_pes_8").is_none());
+        // The 1-cycle link and the compiled PE count are `sim_npu`'s run.
+        let sim_npu = |stage: &str| {
+            Run::new(
+                stage,
+                Measure::Timing(Box::new(CoreConfig::penryn_like())),
+                Target::Npu { n_pes: 8 },
+            )
+        };
+        assert_eq!(run(&plan, "sim_link_1"), Some(sim_npu("sim_link_1")));
+        let plan = StagePlan::from_experiments(&[Experiment::Fig11], 8);
+        assert_eq!(run(&plan, "sim_pes_8"), Some(sim_npu("sim_pes_8")));
 
-        let plan = StagePlan::from_experiments(&[Experiment::Train], &[], &[]);
-        assert!(plan.train && !plan.sim_cpu && !plan.outputs && !plan.report);
+        let plan = StagePlan::from_experiments(&[Experiment::Train], 8);
+        assert!(plan.train && plan.runs.is_empty() && !plan.report);
 
-        let plan = StagePlan::from_experiments(&[Experiment::Fig7], &[], &[]);
-        assert!(plan.counts && plan.train && !plan.outputs);
+        let plan = StagePlan::from_experiments(&[Experiment::Fig7], 8);
+        assert!(plan.train);
+        assert_eq!(stages(&plan), ["counts_base", "counts_npu"]);
     }
 
     #[test]

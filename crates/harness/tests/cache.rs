@@ -3,7 +3,7 @@
 
 mod common;
 
-use harness::run_sweep;
+use harness::{run_sweep, Experiment};
 
 #[test]
 fn warm_run_hits_everything_and_hyperparameter_change_invalidates_downstream_only() {
@@ -58,6 +58,38 @@ fn warm_run_hits_everything_and_hyperparameter_change_invalidates_downstream_onl
         "train, sim_npu, outputs_npu, report must re-run: {:?}",
         partial.scheduler
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn equal_runs_merge_into_one_job_and_rerun_warm() {
+    let dir = common::temp_dir("merge");
+    let mut spec = common::tiny_spec(&["sobel"]);
+    spec.jobs = 2;
+    spec.cache_dir = Some(dir.clone());
+    spec.experiments = vec![Experiment::Fig8, Experiment::Fig10, Experiment::Fig11];
+
+    // observe, train, sim_cpu, sim_npu, sim_ideal, energy, four link
+    // latencies and five PE counts: `sim_link_1` (the default core) and
+    // `sim_pes_8` (the compiled NPU) are `sim_npu`'s job.
+    let cold = run_sweep(&spec).expect("cold sweep runs");
+    assert!(cold.ok(), "cold failures:\n{}", cold.failure_summary());
+    assert_eq!(cold.scheduler.jobs_total, 15);
+    assert_eq!(cold.scheduler.jobs_executed, 15);
+    let json = |stage: &str| {
+        let artifact = cold.artifact("sobel", stage);
+        serde::json::to_string(artifact.unwrap_or_else(|| panic!("no {stage} artifact")))
+    };
+    assert_eq!(json("sim_link_1"), json("sim_npu"));
+    assert_eq!(json("sim_pes_8"), json("sim_npu"));
+    assert_ne!(json("sim_link_2"), json("sim_npu"));
+    assert_ne!(json("sim_pes_1"), json("sim_npu"));
+
+    let warm = run_sweep(&spec).expect("warm sweep runs");
+    assert!(warm.ok(), "warm failures:\n{}", warm.failure_summary());
+    assert!(warm.scheduler.fully_warm(), "{:?}", warm.scheduler);
+    assert_eq!(warm.scheduler.cache_hits, 15);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,7 +5,7 @@
 //!
 //! 1. **Ascending phase** — chaotic iteration in reverse postorder with
 //!    plain joins. For lattices of unbounded height (intervals), this
-//!    alone need not terminate, so after [`SolverConfig::widen_delay`]
+//!    alone need not terminate, so after `WIDEN_DELAY` (32)
 //!    passes the join is replaced by [`AbstractDomain::widen`] on every
 //!    *retreating edge* — an edge whose target sits at an equal or
 //!    earlier reverse-postorder position than its source, which covers
@@ -84,29 +84,17 @@ pub trait AbstractDomain {
     fn narrow(&self, into: &mut Self::State, incoming: &Self::State) -> bool;
 }
 
-/// Iteration knobs. The defaults suit the benchmark regions: loop bounds
-/// there are small constants, so a modest widening delay lets them
-/// converge exactly.
-#[derive(Debug, Clone, Copy)]
-pub struct SolverConfig {
-    /// Plain-join passes before widening engages on retreating edges.
-    pub widen_delay: usize,
-    /// Descending (narrowing) passes after the ascending fixpoint.
-    pub narrow_passes: usize,
-    /// Hard cap on ascending passes (backstop against a domain whose
-    /// widening fails to converge; never hit by a law-abiding domain).
-    pub max_passes: usize,
-}
+// Iteration knobs, tuned for the benchmark regions: loop bounds there
+// are small constants, so a modest widening delay lets them converge
+// exactly.
 
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig {
-            widen_delay: 32,
-            narrow_passes: 2,
-            max_passes: 512,
-        }
-    }
-}
+/// Plain-join passes before widening engages on retreating edges.
+const WIDEN_DELAY: usize = 32;
+/// Descending (narrowing) passes after the ascending fixpoint.
+const NARROW_PASSES: usize = 2;
+/// Hard cap on ascending passes (backstop against a domain whose
+/// widening fails to converge; never hit by a law-abiding domain).
+pub(super) const MAX_PASSES: usize = 512;
 
 /// The converged solution: one abstract state per block at block *entry*
 /// (`None` for blocks the abstract execution never reaches).
@@ -120,11 +108,7 @@ pub struct Solution<S> {
 
 /// Runs `domain` to a fixpoint over `cfg`. See the module docs for the
 /// iteration strategy.
-pub fn solve<D: AbstractDomain>(
-    cfg: &Cfg,
-    domain: &D,
-    config: &SolverConfig,
-) -> Solution<D::State> {
+pub fn solve<D: AbstractDomain>(cfg: &Cfg, domain: &D) -> Solution<D::State> {
     let nb = cfg.len();
     let mut block_in: Vec<Option<D::State>> = (0..nb).map(|_| None).collect();
     if nb == 0 {
@@ -166,7 +150,7 @@ pub fn solve<D: AbstractDomain>(
                     }
                     Some(cur) => {
                         let retreating = rpo_pos[s] <= rpo_pos[b];
-                        let grew = if passes >= config.widen_delay && retreating {
+                        let grew = if passes >= WIDEN_DELAY && retreating {
                             domain.widen(cur, &edge)
                         } else {
                             domain.join(cur, &edge)
@@ -177,14 +161,14 @@ pub fn solve<D: AbstractDomain>(
             }
         }
         passes += 1;
-        if !changed || passes >= config.max_passes {
+        if !changed || passes >= MAX_PASSES {
             break;
         }
     }
 
     // Descending phase: recompute each block input from predecessor
     // outputs and narrow toward it.
-    for _ in 0..config.narrow_passes {
+    for _ in 0..NARROW_PASSES {
         let outputs: Vec<Option<D::State>> = block_in
             .iter()
             .enumerate()
@@ -282,17 +266,9 @@ mod tests {
         let d = Depth {
             widened: std::cell::Cell::new(false),
         };
-        let sol = solve(
-            &cfg,
-            &d,
-            &SolverConfig {
-                widen_delay: 2,
-                narrow_passes: 1,
-                max_passes: 64,
-            },
-        );
+        let sol = solve(&cfg, &d);
         assert!(d.widened.get(), "loop head must eventually widen");
-        assert!(sol.passes < 64, "widening must force convergence");
+        assert!(sol.passes < MAX_PASSES, "widening must force convergence");
         // Every reachable block got a state.
         for &b in cfg.rpo() {
             assert!(sol.block_in[b].is_some());
@@ -320,7 +296,7 @@ mod tests {
         let d = Depth {
             widened: std::cell::Cell::new(false),
         };
-        let sol = solve(&cfg, &d, &SolverConfig::default());
+        let sol = solve(&cfg, &d);
         let dead = (0..cfg.len()).find(|&b| !cfg.is_reachable(b)).unwrap();
         assert!(sol.block_in[dead].is_none());
     }
@@ -332,7 +308,7 @@ mod tests {
         let d = Depth {
             widened: std::cell::Cell::new(false),
         };
-        let sol = solve(&cfg, &d, &SolverConfig::default());
+        let sol = solve(&cfg, &d);
         assert!(sol.block_in.is_empty());
     }
 }

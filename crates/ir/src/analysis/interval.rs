@@ -28,7 +28,7 @@
 //! is what lets the static precision report bound values that round-trip
 //! through scratch, like the jpeg DCT coefficients.
 
-use super::absint::{self, AbstractDomain, SolverConfig};
+use super::absint::{self, AbstractDomain};
 use super::cfg::Cfg;
 use super::defuse::{defs_of, uses_of};
 use super::effects::region_effects;
@@ -1338,7 +1338,7 @@ impl IntervalAnalysis {
             mem_words,
             call_writes_mem,
         };
-        let sol = absint::solve(&domain.cfg, &domain, &SolverConfig::default());
+        let sol = absint::solve(&domain.cfg, &domain);
 
         // Replay each block once to snapshot per-instruction facts.
         let mut facts = vec![InstFacts::default(); f.len()];
@@ -1481,7 +1481,7 @@ mod tests {
         b.jump(top);
         let f = b.build().unwrap();
         let ia = IntervalAnalysis::of_function(&f, &[]);
-        assert!(ia.passes() < SolverConfig::default().max_passes);
+        assert!(ia.passes() < absint::MAX_PASSES);
         let v = ia.value_after(2, i).as_int().unwrap();
         assert!(v.hi >= 1, "{v:?}");
     }

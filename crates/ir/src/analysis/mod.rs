@@ -40,7 +40,7 @@ pub mod soundness;
 pub mod types;
 pub mod verify;
 
-pub use absint::{solve, AbstractDomain, SolverConfig};
+pub use absint::{solve, AbstractDomain};
 pub use cfg::{BasicBlock, Cfg};
 pub use defuse::{def_of, defs_of, is_pure, uses_of, DefUse};
 pub use dom::Dominators;

@@ -2,14 +2,13 @@
 //! envelope that carries them to sinks.
 
 use crate::Histogram;
-use serde::{Deserialize, Serialize};
 
 /// Event severity, ordered from silent to most verbose.
 ///
 /// The global collector drops events above its configured level before
 /// they are constructed, so tracing left in hot loops costs one relaxed
 /// atomic load when disabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Level {
     /// No events at all (the default).
     Off,
@@ -66,7 +65,7 @@ impl Level {
 
 /// What happened. One variant per event class the pipeline and the
 /// simulators report; fields carry the class-specific payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// A named phase began (compilation step, timing run, …).
     PhaseStart {
@@ -195,7 +194,7 @@ pub enum EventKind {
 }
 
 /// One recorded event: an [`EventKind`] plus envelope metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Monotonic sequence number, unique within a process.
     pub seq: u64,
@@ -302,27 +301,6 @@ mod tests {
         assert!(Level::Off < Level::Error);
         assert!(Level::Info < Level::Debug);
         assert!(Level::Debug < Level::Trace);
-    }
-
-    #[test]
-    fn event_serde_round_trips() {
-        let ev = Event {
-            seq: 7,
-            elapsed_us: 1500,
-            thread: 3,
-            level: Level::Info,
-            target: "parrot::compiler".into(),
-            kind: EventKind::PhaseEnd {
-                phase: "train".into(),
-                elapsed_us: 1234,
-                span: 11,
-                parent: 4,
-                aborted: false,
-            },
-        };
-        let json = serde::json::to_string(&ev);
-        let back: Event = serde::json::from_str(&json).unwrap();
-        assert_eq!(back, ev);
     }
 
     #[test]
